@@ -1,8 +1,9 @@
 """Command-line driver: check, run, diff, fuzz, and space over `.lh` files.
 
 Exit codes: 0 value, 1 blame, 2 type or parse error, 3 stuck, 4 budget
-exceeded.  The LH_BUDGET environment variable overrides the default step
-budget when --budget is not given.
+exceeded.  A standard output closed by its reader (as by `| head`) ends the
+command quietly with exit code 1.  The LH_BUDGET environment variable
+overrides the default step budget when --budget is not given.
 """
 
 from __future__ import annotations
@@ -280,7 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # the reader left: send what Python still flushes at exit to
+        # /dev/null, and exit 1 as Python does on an uncaught EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .semantics import (
     machine,
     merge,
 )
+from .metering import _children
 from .surface import parse, print_term
 from .syntax import (
     ALL_MODES,
@@ -257,12 +258,7 @@ def _contains_fix(e: Term) -> bool:
         node = todo.pop()
         if isinstance(node, Fix):
             return True
-        from .metering import _children
-
-        try:
-            todo.extend(_children(node))
-        except TypeError:
-            pass
+        todo.extend(_children(node))
     return False
 
 
@@ -327,8 +323,6 @@ def diff_modes(e: Term, budget: int = 10_000) -> DiffReport:
 
 
 def _subterms(e: Term):
-    from .metering import _children
-
     todo = [e]
     while todo:
         node = todo.pop()
@@ -338,7 +332,10 @@ def _subterms(e: Term):
 
 def check_trace(mode: Mode, terms: Sequence[Term]) -> list[str]:
     """Findings for preservation, type monotonicity, and merge priority along
-    an evaluation trace (first element is the initial term)."""
+    an evaluation trace (first element is the initial term).
+
+    One checker serves the whole trace and advances its memo generation
+    before each term, so only the nodes a step rebuilt are checked again."""
 
     findings: list[str] = []
     if not terms:
@@ -352,6 +349,7 @@ def check_trace(mode: Mode, terms: Sequence[Term]) -> list[str]:
     prev_keys = None
     mach = machine(mode)
     for i, term in enumerate(terms):
+        checker.advance()
         try:
             checker.check({}, term, ty)
         except TypeCheckError as exc:

@@ -5,6 +5,33 @@ Bidirectional: `infer` synthesizes where the syntax determines the type and
 syntax-directed (constants against refinements, blame, branches).  The
 runtime rules for active checks and coercion stacks replay predicate
 evaluation with a step budget, so re-typechecking whole traces is decidable.
+
+Memoization.  Nodes are immutable and compared by identity, so a verdict
+about a node holds for as long as the node exists.  Each `Checker` keeps
+its successful judgments in dicts it owns (never in node attributes),
+keyed by node identity:
+
+- a type node: `wf_type` succeeded on it;
+- a closed term (one checked under the empty environment, always with the
+  checker's own `source` flag): the type `infer` gave it;
+- a (closed term, expected type object) pair: `check` succeeded on it;
+- an (abstraction, type) pair under the tag "redex": the function type a
+  redex checks its abstraction against, built once so that the pair above
+  still hits after the step that rebuilt the redex.
+
+Failures are never stored, so every error is raised again, with the same
+kind, path and message, by the same rules.  The dicts come in two
+generations: `advance` retires the current one and drops the one before, and
+a hit in the retired generation is copied into the current one.  A checker
+that is never advanced keeps its judgments for its own lifetime;
+`harness.check_trace` advances before each trace term, so that memory stays
+at about two terms' worth of nodes while the nodes a step did not rebuild
+are checked only once.
+
+Premise and replay verdicts (does a predicate instance evaluate to `true`,
+does an active check's state follow from its predicate) are shared by all
+checkers in a process, keyed by (mode, oracle, budget, canonical terms), and
+hold at most `VERDICT_CACHE_LIMIT` entries each, evicting the oldest first.
 """
 
 from __future__ import annotations
@@ -13,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from . import semantics
-from .semantics import DEFAULT_ORACLE, ImplicationOracle, OutcomeKind, implies
+from .semantics import DEFAULT_ORACLE, ImplicationOracle, Machine, OutcomeKind, implies
 from .syntax import (
     ALL_MODES,
     Abs,
@@ -132,8 +159,18 @@ def similar(t1: Type, t2: Type) -> bool:
 # ---------------------------------------------------------------------------
 # Checker
 
-_PREMISE_CACHE: dict[tuple[Mode, str], Union[bool, str]] = {}
-_REPLAY_CACHE: dict[tuple[Mode, str, str], Union[bool, str]] = {}
+# Shared by every checker, so that traces reuse each other's premises.  A
+# verdict depends on the mode, the oracle and the budget, and all three are
+# part of the key.
+VERDICT_CACHE_LIMIT = 4096
+_PREMISE_CACHE: dict[tuple[Mode, ImplicationOracle, int, str], Union[bool, str]] = {}
+_REPLAY_CACHE: dict[tuple[Mode, ImplicationOracle, int, str, str], Union[bool, str]] = {}
+
+
+def _remember(cache: dict, key: tuple, verdict: Union[bool, str]) -> None:
+    if len(cache) >= VERDICT_CACHE_LIMIT:
+        del cache[next(iter(cache))]  # dicts keep insertion order: oldest first
+    cache[key] = verdict
 
 
 @dataclass
@@ -142,35 +179,45 @@ class Checker:
     source: bool = False
     oracle: ImplicationOracle = DEFAULT_ORACLE
     budget: int = PREDICATE_BUDGET
+    # successful judgments by node identity: current and retired generation
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _retired: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def advance(self) -> None:
+        """Start a new memo generation and drop the one before the current.
+        Every lookup stores its entry in the current generation again."""
+
+        self._retired = self._memo
+        self._memo = {}
 
     # -- premise evaluation
 
     def _evals_true(self, instance: Term, path: str) -> bool:
-        key = (self.mode, canon(instance))
+        key = (self.mode, self.oracle, self.budget, canon(instance))
         hit = _PREMISE_CACHE.get(key)
         if hit is None:
-            outcome = semantics.machine(self.mode).eval(instance, self.budget)
+            outcome = Machine(self.mode, self.oracle).eval(instance, self.budget)
             if outcome.kind is OutcomeKind.BUDGET:
                 hit = "budget"
             else:
                 hit = outcome.kind is OutcomeKind.VALUE and isinstance(outcome.term, Const) and outcome.term.value is True
-            _PREMISE_CACHE[key] = hit
+            _remember(_PREMISE_CACHE, key, hit)
         if hit == "budget":
             raise TypeCheckError(NOT_SIMILAR, path, "predicate evaluation exceeded the step budget")
         return bool(hit)
 
     def _reaches(self, start: Term, goal: Term, path: str) -> bool:
-        key = (self.mode, canon(start), canon(goal))
+        key = (self.mode, self.oracle, self.budget, canon(start), canon(goal))
         hit = _REPLAY_CACHE.get(key)
         if hit is None:
             hit = self._replay(start, goal)
-            _REPLAY_CACHE[key] = hit
+            _remember(_REPLAY_CACHE, key, hit)
         if hit == "budget":
             raise TypeCheckError(NOT_SIMILAR, path, "predicate replay exceeded the step budget")
         return bool(hit)
 
     def _replay(self, start: Term, goal: Term) -> Union[bool, str]:
-        mach = semantics.machine(self.mode)
+        mach = Machine(self.mode, self.oracle)
         term = start
         for _ in range(self.budget):
             if alpha_eq(term, goal):
@@ -187,6 +234,11 @@ class Checker:
     # -- well-formedness
 
     def wf_type(self, t: Type, path: str = "") -> None:
+        if not (self._memo.get(t) or self._retired.get(t)):
+            self._wf_type(t, path)
+        self._memo[t] = True
+
+    def _wf_type(self, t: Type, path: str) -> None:
         if isinstance(t, Refinement):
             if is_raw(t):
                 return  # WF-Base: raw types are axiomatically well formed
@@ -246,6 +298,15 @@ class Checker:
         self._check(dict(env), e, t, path, self.source)
 
     def _infer(self, env: dict[str, Type], e: Term, path: str, source: bool) -> Type:
+        if env:
+            return self._infer_rule(env, e, path, source)
+        t = self._memo.get(e) or self._retired.get(e)
+        if t is None:
+            t = self._infer_rule(env, e, path, source)
+        self._memo[e] = t
+        return t
+
+    def _infer_rule(self, env: dict[str, Type], e: Term, path: str, source: bool) -> Type:
         if isinstance(e, Var):
             if e.name not in env:
                 raise TypeCheckError(UNBOUND_VAR, path, f"unbound variable {e.name!r}")
@@ -314,6 +375,15 @@ class Checker:
             raise TypeCheckError(PREDICATE_NOT_BOOL, path, "conditional guard is not boolean")
 
     def _check(self, env: dict[str, Type], e: Term, t: Type, path: str, source: bool) -> None:
+        if env:
+            self._check_rule(env, e, t, path, source)
+            return
+        key = (e, t)
+        if not (self._memo.get(key) or self._retired.get(key)):
+            self._check_rule(env, e, t, path, source)
+        self._memo[key] = True
+
+    def _check_rule(self, env: dict[str, Type], e: Term, t: Type, path: str, source: bool) -> None:
         if isinstance(e, Const):
             if not isinstance(t, Refinement):
                 raise TypeCheckError(NOT_SIMILAR, path, "constant checked against a function type")
@@ -346,7 +416,7 @@ class Checker:
         if isinstance(e, App) and isinstance(e.fn, Abs):
             # push the expected type through the redex so substituted
             # constants can be checked against refined codomains
-            self._check(env, e.fn, Fun(e.fn.annot, t), path + "/fn", source)
+            self._check(env, e.fn, self._redex_type(e.fn, t), path + "/fn", source)
             self._check(env, e.arg, e.fn.annot, path + "/arg", source)
             return
         if isinstance(e, App) and isinstance(e.fn, Blame) and not source:
@@ -358,6 +428,15 @@ class Checker:
         inferred = self._infer(env, e, path, source)
         if not alpha_eq(inferred, t):
             raise TypeCheckError(NOT_SIMILAR, path, "inferred type differs from the expected type")
+
+    def _redex_type(self, fn: Abs, t: Type) -> Fun:
+        """Fun(fn.annot, t), one object per (fn, t) pair, so that the memo
+        entry for checking fn survives the rebuilding of its redex."""
+
+        key = (fn, t, "redex")
+        ft = self._memo.get(key) or self._retired.get(key) or Fun(fn.annot, t)
+        self._memo[key] = ft
+        return ft
 
     # -- runtime forms
 

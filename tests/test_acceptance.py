@@ -143,6 +143,7 @@ def test_criterion_4_differential_soundness():
 def test_criterion_5_trace_invariants():
     from lh.harness import check_trace
 
+    t0 = time.monotonic()
     violations = 0
     checked = 0
     for term in corpus():
@@ -154,7 +155,8 @@ def test_criterion_5_trace_invariants():
             checked += 1
             if findings:
                 violations += 1
-    report(5, violations == 0, f"{checked} traces re-typechecked, {violations} violations")
+    elapsed = time.monotonic() - t0
+    report(5, violations == 0, f"{checked} traces re-typechecked, {violations} violations, {elapsed:.1f}s")
 
 
 def test_criterion_6_algebra_properties():

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -132,3 +135,27 @@ def test_axiom_oracle_flag(tmp_path, capsys):
         capsys, "run", str(prog), "--mode", "eidetic", "--oracle", "axioms", "--axioms", str(axioms)
     )
     assert code == 0 and out.strip() == "5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", TRIPLE, "--mode", "eidetic", "--trace", "--json"], ["diff", TRIPLE]],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # the reader is gone before the first write, as after `| head -c 100`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lh.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode(), proc.stderr.decode()
+    assert proc.returncode == 1

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import load_example
 from lh import eval_term
 from lh.harness import (
     ANY,
@@ -17,10 +18,10 @@ from lh.harness import (
     gen_source,
     run_fuzz,
 )
-from lh.semantics import OutcomeKind, coercion_merge
-from lh.surface import parse, print_term
-from lh.syntax import ALL_MODES, Cast, Const, EMPTY_ANN, Fix, Mode, Refs, alpha_eq
-from lh.typecheck import check_source
+from lh.semantics import OutcomeKind, coercion_merge, machine, merge
+from lh.surface import parse, parse_type, print_term
+from lh.syntax import ALL_MODES, App, Cast, Const, EMPTY_ANN, Fix, Mode, Refs, alpha_eq, type_keys
+from lh.typecheck import Checker, TypeCheckError, check_source
 
 
 def test_gen_source_is_well_typed_and_deterministic():
@@ -81,6 +82,92 @@ def test_check_trace_detects_corruption(e3):
     terms[2] = Const(True)  # swap in an ill-typed term
     findings = check_trace(Mode.CLASSIC, terms)
     assert findings and "step 2" in findings[0]
+
+
+def _reference_check_trace(mode, terms):
+    """check_trace with a fresh checker for every term: the whole-term
+    checker that the memoized one must agree with."""
+
+    try:
+        ty = Checker(mode).infer({}, terms[0])
+    except TypeCheckError as exc:
+        return [f"step 0: initial term does not typecheck: {exc}"]
+    findings = []
+    prev_keys = None
+    mach = machine(mode)
+    for i, term in enumerate(terms):
+        try:
+            Checker(mode).check({}, term, ty)
+        except TypeCheckError as exc:
+            findings.append(f"step {i}: preservation failure: {exc}")
+        keys = type_keys(term)
+        if prev_keys is not None and not keys <= prev_keys:
+            findings.append(f"step {i}: types grew along the trace")
+        prev_keys = keys
+        if mode is Mode.CLASSIC:
+            continue
+        for sub in _subterms(term):
+            if not (isinstance(sub, Cast) and isinstance(sub.subject, Cast)):
+                continue
+            inner = sub.subject
+            if merge(mode, inner.src, inner.ann, inner.tgt, sub.ann, sub.tgt, mach.oracle) is None:
+                continue
+            act = mach._local(sub)
+            if not (act[0] == "step" and act[2] == "E-CastMergeE"):
+                findings.append(f"step {i}: mergeable cast pair did not merge first")
+    return findings
+
+
+def _oracle_traces():
+    """Clean traces of generated programs and of a short fact loop in every
+    mode, each with three corrupted copies."""
+
+    fix = load_example("fact.lh").fn.fn
+    programs = [gen_source(500 + i, 5 + i % 26) for i in range(24)]
+    programs.append(App(App(fix, Const(4)), Const(1)))
+    rng = random.Random(9)
+    for term in programs:
+        for mode in ALL_MODES:
+            out = eval_term(mode, term, 10_000, trace=True)
+            if out.kind is OutcomeKind.BUDGET:
+                continue
+            terms = out.trace_terms()
+            yield mode, terms
+            if len(terms) < 2:
+                continue
+            j = rng.randrange(1, len(terms))
+            for bad in (Const(True), terms[j - 1], terms[0]):
+                yield mode, terms[:j] + [bad] + terms[j + 1 :]
+
+
+def test_check_trace_matches_whole_term_reference():
+    traces = with_findings = 0
+    for mode, terms in _oracle_traces():
+        expected = _reference_check_trace(mode, terms)
+        assert check_trace(mode, terms) == expected, (mode, print_term(terms[0]))
+        traces += 1
+        with_findings += bool(expected)
+    assert with_findings >= traces // 4  # the corrupted copies are caught
+
+
+def test_checker_memo_keeps_expected_types_apart():
+    checker = Checker(Mode.CLASSIC)
+    five = Const(5)
+    negative = parse_type("{x:Int|x < 0}")
+    for _ in range(2):
+        checker.check({}, five, NAT)
+        with pytest.raises(TypeCheckError, match="does not satisfy the refinement"):
+            checker.check({}, five, negative)
+    cast = parse("<{x:Int|true} => {x:Int|x >= 0} @ l1> 5")
+    assert alpha_eq(checker.infer({}, cast), NAT)
+    checker.check({}, cast, cast.tgt)
+    with pytest.raises(TypeCheckError, match="differs from the expected type"):
+        checker.check({}, cast, ANY)
+    # an open node's judgment depends on the environment: never memoized
+    x = parse("x")
+    checker.check({"x": NAT}, x, NAT)
+    with pytest.raises(TypeCheckError, match="differs from the expected type"):
+        checker.check({"x": ANY}, x, NAT)
 
 
 def test_check_trace_rejects_untyped_start():

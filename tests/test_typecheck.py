@@ -173,3 +173,17 @@ def test_corrupted_stack_rejected(e3):
     wrong2 = CoercionStack(stack.tgt, Status.CHECKED, (), Const(0), Const(0))
     with pytest.raises(TypeCheckError):
         check_at(Mode.EIDETIC, {}, wrong2, NZ)
+
+
+def test_budget_order_does_not_change_the_verdict():
+    # the predicate needs more than two steps; a premise verdict reached
+    # under a small budget must not be reused under a larger one
+    ty = parse_type("{x:Int|(x + 1) - 1 >= 0}")
+    for budgets in ((2, 10_000), (10_000, 2)):
+        for budget in budgets:
+            checker = Checker(Mode.CLASSIC, budget=budget)
+            if budget == 2:
+                with pytest.raises(TypeCheckError, match="exceeded the step budget"):
+                    checker.check({}, Const(5), ty)
+            else:
+                checker.check({}, Const(5), ty)
