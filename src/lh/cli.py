@@ -1,6 +1,7 @@
-"""Command-line driver: check, run, diff, fuzz, and space over `.lh` files.
+"""Command-line driver: check, run, diff and fuzz over `.lh` files.
 
-Exit codes: 0 value, 1 blame, 2 type or parse error, 3 stuck, 4 budget
+Exit codes: 0 value, 1 blame, 2 the input could not be read, parsed or typed
+(a program file, or the --axioms file and its --oracle), 3 stuck, 4 budget
 exceeded.  A standard output closed by its reader (as by `| head`) ends the
 command quietly with exit code 1.  The LH_BUDGET environment variable
 overrides the default step budget when --budget is not given.
@@ -34,9 +35,13 @@ DEFAULT_BUDGET = 100_000
 
 EXIT_VALUE = 0
 EXIT_BLAME = 1
-EXIT_TYPE_ERROR = 2
+EXIT_INPUT_ERROR = 2
 EXIT_STUCK = 3
 EXIT_BUDGET = 4
+
+
+class InputError(Exception):
+    """Command-line input (a program, axioms or oracle) that cannot be read or has the wrong shape."""
 
 
 @dataclass
@@ -59,19 +64,29 @@ def _default_budget() -> int:
 def _load_oracle(config: RunConfig) -> ImplicationOracle:
     if config.oracle == "alpha-eq":
         return DEFAULT_ORACLE
-    if config.oracle == "axioms":
-        if not config.axioms:
-            raise SystemExit("--oracle axioms requires --axioms FILE")
+    if config.oracle != "axioms":
+        raise InputError(f"unknown oracle {config.oracle!r}")
+    if not config.axioms:
+        raise InputError("--oracle axioms requires --axioms FILE")
+    try:
         with open(config.axioms) as fh:
             raw_pairs = json.load(fh)
-        pairs = []
-        for lhs, rhs in raw_pairs:
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read axioms {config.axioms}: {exc}") from exc
+    if not isinstance(raw_pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(t, str) for t in p) for p in raw_pairs
+    ):
+        raise InputError(f"axioms {config.axioms}: expected a JSON list of [type, type] string pairs")
+    pairs = []
+    for lhs, rhs in raw_pairs:
+        try:
             t1, t2 = parse_type(lhs), parse_type(rhs)
-            if not (isinstance(t1, Refinement) and isinstance(t2, Refinement)):
-                raise SystemExit("axioms must relate refinement types")
-            pairs.append((t1, t2))
-        return axiom_oracle(pairs)
-    raise SystemExit(f"unknown oracle {config.oracle!r}")
+        except ParseError as exc:
+            raise InputError(f"axioms {config.axioms}: {exc}") from exc
+        if not (isinstance(t1, Refinement) and isinstance(t2, Refinement)):
+            raise InputError("axioms must relate refinement types")
+        pairs.append((t1, t2))
+    return axiom_oracle(pairs)
 
 
 def _machine(config: RunConfig) -> Machine:
@@ -79,12 +94,18 @@ def _machine(config: RunConfig) -> Machine:
 
 
 def _read_program(path: str, runtime_forms: bool) -> Term:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     term = parse(text)
     if not runtime_forms:
         check_source(term)
     return term
+
+
+_INPUT_ERRORS = (InputError, ParseError, TypeCheckError)
 
 
 def _outcome_dict(out: Outcome) -> dict:
@@ -121,12 +142,12 @@ def cmd_check(args) -> int:
     try:
         term = _read_program(args.file, runtime_forms=False)
         ty = check_source(term)
-    except (ParseError, TypeCheckError) as exc:
+    except _INPUT_ERRORS as exc:
         if args.json:
             print(json.dumps({"ok": False, "error": str(exc)}))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TYPE_ERROR
+        return EXIT_INPUT_ERROR
     if args.json:
         print(json.dumps({"ok": True, "type": print_type(ty)}))
     else:
@@ -137,14 +158,13 @@ def cmd_check(args) -> int:
 def run_file(path: str, config: RunConfig, runtime_forms: bool = False, series_out: Optional[str] = None) -> int:
     try:
         term = _read_program(path, runtime_forms)
-    except (ParseError, TypeCheckError) as exc:
+        mach = _machine(config)
+    except _INPUT_ERRORS as exc:
         if config.json:
             print(json.dumps({"error": str(exc)}))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TYPE_ERROR
-
-    mach = _machine(config)
+        return EXIT_INPUT_ERROR
     if config.space:
         meter = Meter(series=True)
         out = mach.eval(term, config.budget, trace=config.trace, meter=meter)
@@ -194,17 +214,12 @@ def cmd_run(args) -> int:
     return run_file(args.file, config, runtime_forms=args.runtime_forms, series_out=args.series)
 
 
-def cmd_space(args) -> int:
-    config = RunConfig(mode=Mode.parse(args.mode), budget=args.budget, space=True, json=args.json)
-    return run_file(args.file, config, runtime_forms=args.runtime_forms, series_out=args.series)
-
-
 def cmd_diff(args) -> int:
     try:
         term = _read_program(args.file, runtime_forms=False)
-    except (ParseError, TypeCheckError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TYPE_ERROR
+        return EXIT_INPUT_ERROR
     report = diff_modes(term, args.budget)
     print(json.dumps(report.as_dict(), indent=2))
     return 1 if report.failed else 0
@@ -229,14 +244,6 @@ def cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", default="eidetic", help="classic|forgetful|heedful|eidetic (or c|f|h|e)")
-    p.add_argument("--budget", type=int, default=_default_budget())
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--runtime-forms", action="store_true", help="skip the source-program check")
-    p.add_argument("--series", metavar="OUT.CSV", help="write the per-step space series as CSV")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="lh", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -248,18 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate a program under one mode")
     p.add_argument("file")
-    _add_run_flags(p)
+    p.add_argument("--mode", default="eidetic", help="classic|forgetful|heedful|eidetic (or c|f|h|e)")
+    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--runtime-forms", action="store_true", help="skip the source-program check")
+    p.add_argument("--series", metavar="OUT.CSV", help="write the per-step space series as CSV")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--space", action="store_true")
     p.add_argument("--choose", default="lex-min", choices=sorted(CHOOSE_POLICIES))
     p.add_argument("--oracle", default="alpha-eq", choices=["alpha-eq", "axioms"])
     p.add_argument("--axioms", help="JSON file of [source-type, implied-type] pairs")
     p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("space", help="evaluate with space metering")
-    p.add_argument("file")
-    _add_run_flags(p)
-    p.set_defaults(fn=cmd_space)
 
     p = sub.add_parser("diff", help="compare all four modes on one program")
     p.add_argument("file")

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import semantics
 from .semantics import (
@@ -19,18 +19,14 @@ from .semantics import (
     machine,
     merge,
 )
-from .metering import _children
 from .surface import parse, print_term
 from .syntax import (
     ALL_MODES,
     Abs,
-    ActiveCheck,
     App,
     BaseType,
-    Blame,
     Cast,
     Coercion,
-    CoercionStack,
     Cond,
     Const,
     EMPTY_ANN,
@@ -46,11 +42,12 @@ from .syntax import (
     Type,
     Var,
     alpha_eq,
-    canon,
+    is_raw,
     raw,
+    subterms,
     type_keys,
 )
-from .typecheck import Checker, TypeCheckError, check_source, type_of
+from .typecheck import Checker, TypeCheckError, check_source
 
 # ---------------------------------------------------------------------------
 # Named types used throughout generation
@@ -131,8 +128,6 @@ class _Gen:
         return self.bool_op(fuel, env)
 
     def leaf(self, ty: Refinement, env: list[tuple[str, Type]]) -> Term:
-        from .syntax import is_raw
-
         if is_raw(ty):
             return self.const(ty.base)
         return Cast(raw(ty.base), EMPTY_ANN, ty, self.label(), self.const(ty.base))
@@ -252,22 +247,12 @@ class DiffReport:
         }
 
 
-def _contains_fix(e: Term) -> bool:
-    todo = [e]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Fix):
-            return True
-        todo.extend(_children(node))
-    return False
-
-
 def _same_const(a: Optional[Term], b: Optional[Term]) -> bool:
     return isinstance(a, Const) and isinstance(b, Const) and a.value == b.value and a.base is b.base
 
 
 def diff_modes(e: Term, budget: int = 10_000) -> DiffReport:
-    if _contains_fix(e):
+    if any(isinstance(s, Fix) for s in subterms(e)):
         skip = Verdict("skip", "recursive programs are outside the cross-mode lemmas")
         return DiffReport(e, {}, skip, skip, skip)
 
@@ -322,14 +307,6 @@ def diff_modes(e: Term, budget: int = 10_000) -> DiffReport:
 # Trace invariants
 
 
-def _subterms(e: Term):
-    todo = [e]
-    while todo:
-        node = todo.pop()
-        yield node
-        todo.extend(_children(node))
-
-
 def check_trace(mode: Mode, terms: Sequence[Term]) -> list[str]:
     """Findings for preservation, type monotonicity, and merge priority along
     an evaluation trace (first element is the initial term).
@@ -360,7 +337,7 @@ def check_trace(mode: Mode, terms: Sequence[Term]) -> list[str]:
         prev_keys = keys
 
         if mode is not Mode.CLASSIC:
-            for sub in _subterms(term):
+            for sub in subterms(term):
                 if not (isinstance(sub, Cast) and isinstance(sub.subject, Cast)):
                     continue
                 inner = sub.subject

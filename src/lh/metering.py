@@ -12,28 +12,19 @@ import json
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Optional
 
-from .semantics import FCastSub, FCheck, FStack, Frame, Machine, Outcome, frame_siblings, machine
+from .semantics import FCastSub, Frame, Machine, Outcome, frame_siblings, machine
 from .syntax import (
     Abs,
     ActiveCheck,
-    App,
-    Blame,
     Cast,
     Coerce,
     CoercionStack,
-    Cond,
-    Const,
-    EmptyAnn,
-    Fix,
-    Fun,
     Mode,
-    Op,
-    Refinement,
     Refs,
     Term,
-    Types,
-    Var,
     canon,
+    children,
+    held_types,
     type_keys,
 )
 
@@ -84,54 +75,30 @@ class Measures(NamedTuple):
     tkeys: frozenset
 
 
-_LEAF = (Var, Const, Blame)
+_OWN_NONE = (frozenset(), 0, 0)
 
 
-def _ann_keys(ann) -> frozenset:
-    if isinstance(ann, EmptyAnn):
-        return frozenset()
-    if isinstance(ann, Types):
-        out = frozenset()
-        for t in ann.types:
-            out |= type_keys(t)
-        return out
-    return _coercion_keys(ann.coercion)
+def _own(e: Term) -> tuple[frozenset, int, int]:
+    """(type keys, pending, reflist length) contributed by the node itself, apart from its subterms."""
 
-
-def _coercion_keys(c) -> frozenset:
-    if isinstance(c, Refs):
-        return frozenset(canon(e.ref) for e in c.entries)
-    return _coercion_keys(c.dom) | _coercion_keys(c.cod)
-
-
-def _ann_reflen(ann) -> int:
-    if isinstance(ann, Coerce):
-        return _coercion_reflen(ann.coercion)
-    return 0
+    whole, alone = held_types(e)
+    if not whole:
+        return _OWN_NONE
+    # a node holding one type reuses that type's cached keys
+    keys = type_keys(whole[0]) if len(whole) == 1 else frozenset().union(*map(type_keys, whole))
+    if alone:
+        keys = keys.union(map(canon, alone))
+    if isinstance(e, Cast):
+        return keys, 1, _coercion_reflen(e.ann.coercion) if isinstance(e.ann, Coerce) else 0
+    if isinstance(e, CoercionStack):
+        return keys, 1, len(e.pending)
+    return keys, int(isinstance(e, ActiveCheck)), 0  # Abs and Fix hold no pending check
 
 
 def _coercion_reflen(c) -> int:
     if isinstance(c, Refs):
         return len(c.entries)
     return max(_coercion_reflen(c.dom), _coercion_reflen(c.cod))
-
-
-def _children(e: Term) -> tuple[Term, ...]:
-    if isinstance(e, _LEAF):
-        return ()
-    if isinstance(e, (Abs, Fix)):
-        return (e.body,)
-    if isinstance(e, App):
-        return (e.fn, e.arg)
-    if isinstance(e, Op):
-        return e.args
-    if isinstance(e, Cast):
-        return (e.subject,)
-    if isinstance(e, (ActiveCheck, CoercionStack)):
-        return (e.current, e.scrutinee)
-    if isinstance(e, Cond):
-        return (e.guard, e.then, e.orelse)
-    raise TypeError(f"measures: not a term: {e!r}")
 
 
 def measures(e: Term) -> Measures:
@@ -146,7 +113,7 @@ def measures(e: Term) -> Measures:
         if getattr(node, "_sm", None) is not None:
             todo.pop()
             continue
-        missing = [c for c in _children(node) if getattr(c, "_sm", None) is None]
+        missing = [c for c in children(node) if getattr(c, "_sm", None) is None]
         if missing:
             todo.extend(missing)
             continue
@@ -155,39 +122,32 @@ def measures(e: Term) -> Measures:
     return getattr(e, "_sm")
 
 
+_NO_KIDS = ((),) * len(Measures._fields)
+
+
 def _combine(e: Term) -> Measures:
-    kids = [getattr(c, "_sm") for c in _children(e)]
-    size = 1 + sum(k.size for k in kids)
-    pending = sum(k.pending for k in kids)
-    max_chain = max((k.max_chain for k in kids), default=0)
-    max_proxy = max((k.max_proxy for k in kids), default=0)
-    max_reflist = max((k.max_reflist for k in kids), default=0)
-    tkeys = frozenset().union(*(k.tkeys for k in kids)) if kids else frozenset()
+    kids = [getattr(c, "_sm") for c in children(e)]
+    own_keys, own_pending, own_reflist = _own(e)
+    # one column per field: cheaper than a generator per field
+    sizes, pendings, _, chains, _, proxies, reflists, keys = zip(*kids) if kids else _NO_KIDS
+    size = 1 + sum(sizes)
+    pending = own_pending + sum(pendings)
+    max_chain = max(chains, default=0)
+    max_proxy = max(proxies, default=0)
+    max_reflist = max((own_reflist, *reflists))
+    tkeys = own_keys.union(*keys)
     top_chain = 0
     top_proxy = -1
 
     if isinstance(e, Abs):
         top_proxy = 0
-        tkeys |= type_keys(e.annot)
-    elif isinstance(e, Fix):
-        tkeys |= type_keys(e.annot)
     elif isinstance(e, Cast):
         sub = kids[0]
-        pending += 1
         top_chain = 1 + sub.top_chain
         max_chain = max(max_chain, top_chain)
         if sub.top_proxy >= 0:
             top_proxy = sub.top_proxy + 1
             max_proxy = max(max_proxy, top_proxy)
-        max_reflist = max(max_reflist, _ann_reflen(e.ann))
-        tkeys |= type_keys(e.src) | type_keys(e.tgt) | _ann_keys(e.ann)
-    elif isinstance(e, ActiveCheck):
-        pending += 1
-        tkeys |= type_keys(e.tgt)
-    elif isinstance(e, CoercionStack):
-        pending += 1
-        max_reflist = max(max_reflist, len(e.pending))
-        tkeys |= type_keys(e.tgt) | frozenset(canon(x.ref) for x in e.pending)
 
     return Measures(size, pending, top_chain, max_chain, top_proxy, max_proxy, max_reflist, tkeys)
 
@@ -199,20 +159,6 @@ def space_stats(e: Term) -> SpaceStats:
 
 # ---------------------------------------------------------------------------
 # Incremental meter
-
-
-def _frame_own(frame: Frame) -> tuple[frozenset, int, int]:
-    """(type keys, pending, reflist length) contributed by the frame's node itself."""
-
-    node = frame.orig
-    if isinstance(frame, FCastSub):
-        return type_keys(node.src) | type_keys(node.tgt) | _ann_keys(node.ann), 1, _ann_reflen(node.ann)
-    if isinstance(frame, FCheck):
-        return type_keys(node.tgt), 1, 0
-    if isinstance(frame, FStack):
-        keys = type_keys(node.tgt) | frozenset(canon(x.ref) for x in node.pending)
-        return keys, 1, len(node.pending)
-    return frozenset(), 0, 0
 
 
 class Meter:
@@ -254,7 +200,7 @@ class Meter:
 
     def push(self, frame: Frame, child: Term) -> None:
         node_sm = measures(frame.orig)
-        own_keys, own_pending, own_reflist = _frame_own(frame)
+        own_keys, own_pending, own_reflist = _own(frame.orig)
         sibs = [measures(s) for s in frame_siblings(frame)]
         self._sub(node_sm.tkeys)
         stored = [own_keys] + [s.tkeys for s in sibs]

@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
+from .surface import print_type
 from .syntax import (
     Abs,
     ActiveCheck,
@@ -103,22 +104,16 @@ def implies(oracle: ImplicationOracle, t1: Refinement, t2: Refinement) -> bool:
 # choose
 
 
-def _printed(t: Type) -> str:
-    from .surface import print_type
-
-    return print_type(t)
-
-
 def choose_lex_min(s: TypeSet) -> Type:
     if not len(s):
         raise ValueError("choose: empty type set")
-    return min(s.members, key=_printed)
+    return min(s.members, key=print_type)
 
 
 def choose_lex_max(s: TypeSet) -> Type:
     if not len(s):
         raise ValueError("choose: empty type set")
-    return max(s.members, key=_printed)
+    return max(s.members, key=print_type)
 
 
 CHOOSE_POLICIES: dict[str, Callable[[TypeSet], Type]] = {

@@ -36,14 +36,12 @@ from .syntax import (
     BaseType,
     Blame,
     Cast,
-    Coerce,
     CoercionStack,
     Cond,
     Const,
     EmptyAnn,
     Fix,
     Fun,
-    FunC,
     Op,
     Refinement,
     Refs,
@@ -52,6 +50,7 @@ from .syntax import (
     Types,
     Var,
     fresh_name,
+    subst,
 )
 
 
@@ -200,7 +199,7 @@ class _Parser:
             decl = self.parse_decl()
             rest = self.parse_expr()
             value = Fix(decl.name, decl.annot, decl.body) if decl.recursive else decl.body
-            return _subst_decl(rest, decl.name, value)
+            return subst(rest, decl.name, value)
         return self.parse_or()
 
     def parse_or(self) -> Term:
@@ -333,14 +332,8 @@ def elaborate(source: SourceFile) -> Term:
     term = source.main
     for decl in reversed(source.decls):
         value = Fix(decl.name, decl.annot, decl.body) if decl.recursive else decl.body
-        term = _subst_decl(term, decl.name, value)
+        term = subst(term, decl.name, value)
     return _unshadow(term, {}, set())
-
-
-def _subst_decl(term: Term, name: str, value: Term) -> Term:
-    from .syntax import subst
-
-    return subst(term, name, value)
 
 
 def parse(text: str) -> Term:

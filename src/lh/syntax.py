@@ -3,6 +3,19 @@
 Terms, types, cast annotations, coercions and the structural measures
 (substitution, alpha-equivalence, type extraction, height, size).  All values
 are immutable after construction and safe to share between threads.
+
+Term shape is written down once, here: `children(e)` lists a term node's
+immediate subterms, `subterms(e)` walks all of them on an explicit stack, and
+`held_types(e)` lists the types the node holds itself, split into those that
+count with their structural parts and refinement-list entries that count
+alone.  That split decides `types(e)`, the set of types no reduction step may
+grow.  `metering` and `harness` read the term shape only through these.
+
+`free_vars` and `canon` cache their result on every node they visit;
+`type_keys` only on the node it is asked about, that is on shared type nodes
+and on the root of a term.  Keys cached on every term node of every trace
+raised the peak memory of the trace-check benchmark from 39 MB to 55-70 MB
+(10 s runs, Python 3.11).
 """
 
 from __future__ import annotations
@@ -263,6 +276,77 @@ class Fix:
 Term = Union[Var, Const, Abs, App, Op, Cast, ActiveCheck, Blame, CoercionStack, Cond, Fix]
 
 Node = Union[Term, Type]
+
+
+# ---------------------------------------------------------------------------
+# Term shape: what a term node contains
+
+
+def children(e: Term) -> tuple[Term, ...]:
+    """The immediate subterms of a term node; its types and annotations are not terms."""
+
+    if isinstance(e, (Var, Const, Blame)):
+        return ()
+    if isinstance(e, (Abs, Fix)):
+        return (e.body,)
+    if isinstance(e, App):
+        return (e.fn, e.arg)
+    if isinstance(e, Op):
+        return e.args
+    if isinstance(e, Cast):
+        return (e.subject,)
+    if isinstance(e, (ActiveCheck, CoercionStack)):
+        return (e.current, e.scrutinee)
+    if isinstance(e, Cond):
+        return (e.guard, e.then, e.orelse)
+    raise TypeError(f"children: not a term: {e!r}")
+
+
+def subterms(e: Term) -> Iterator[Term]:
+    """Every term node of e, e first, in pre-order on an explicit stack."""
+
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(children(node))
+
+
+_HOLDERS = (Abs, Fix, Cast, ActiveCheck, CoercionStack)
+_HOLDS_NONE: tuple[tuple[Type, ...], tuple[Refinement, ...]] = ((), ())
+
+
+def held_types(e: Term) -> tuple[tuple[Type, ...], tuple[Refinement, ...]]:
+    """The types a term node holds itself, in two groups: those that count with
+    their structural parts (a function type's domain and codomain, the types in
+    a refinement's predicate), and refinement-list entries, which count alone."""
+
+    if not isinstance(e, _HOLDERS):
+        return _HOLDS_NONE
+    if isinstance(e, Cast):
+        ann = e.ann
+        if isinstance(ann, Types):
+            return (e.src, e.tgt, *ann.types.members), ()
+        if isinstance(ann, Coerce):
+            return (e.src, e.tgt), _coercion_refs(ann.coercion)
+        return (e.src, e.tgt), ()
+    if isinstance(e, ActiveCheck):
+        return (e.tgt,), ()
+    if isinstance(e, CoercionStack):
+        return (e.tgt,), tuple([x.ref for x in e.pending])
+    return (e.annot,), ()  # Abs, Fix
+
+
+def _coercion_refs(c: Coercion) -> tuple[Refinement, ...]:
+    refs: list[Refinement] = []
+    todo = [c]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, Refs):
+            refs.extend(x.ref for x in c.entries)
+        else:
+            todo += (c.cod, c.dom)
+    return tuple(refs)
 
 
 # ---------------------------------------------------------------------------
@@ -548,82 +632,44 @@ def alpha_eq(a: Node, b: Node) -> bool:
 
 
 def type_keys(node: Node) -> frozenset[str]:
-    """Canonical keys of types_of(node); cached per node for cheap unions."""
+    """Canonical keys of types_of(node); a term's are the union of its held types' keys."""
 
     cached = getattr(node, "_tkeys", None)
     if cached is not None:
         return cached
-    collected: dict[str, Type] = {}
-    _collect_types(node, collected)
-    return _cache(node, "_tkeys", frozenset(collected))
+    if isinstance(node, (Refinement, Fun)):
+        return _cache(node, "_tkeys", frozenset(_types_in(node)))
+    keys: set[str] = set()
+    for e in subterms(node):
+        whole, alone = held_types(e)
+        if whole:
+            keys.update(map(canon, alone), *map(type_keys, whole))
+    return _cache(node, "_tkeys", frozenset(keys))
 
 
 def types_of(e: Node) -> TypeSet:
     """All types (with their structural subparts) occurring in e."""
 
-    collected: dict[str, Type] = {}
-    _collect_types(e, collected)
-    return TypeSet.of(collected.values())
+    return TypeSet.of(_types_in(e).values())
 
 
-def _collect_types(node: Node, acc: dict[str, Type]) -> None:
-    if isinstance(node, (Var, Const, Blame)):
-        return
-    if isinstance(node, Refinement):
-        acc.setdefault(canon(node), node)
-        _collect_types(node.predicate, acc)
-    elif isinstance(node, Fun):
-        acc.setdefault(canon(node), node)
-        _collect_types(node.dom, acc)
-        _collect_types(node.cod, acc)
-    elif isinstance(node, (Abs, Fix)):
-        _collect_types(node.annot, acc)
-        _collect_types(node.body, acc)
-    elif isinstance(node, App):
-        _collect_types(node.fn, acc)
-        _collect_types(node.arg, acc)
-    elif isinstance(node, Op):
-        for a in node.args:
-            _collect_types(a, acc)
-    elif isinstance(node, Cast):
-        _collect_types(node.src, acc)
-        _collect_types(node.tgt, acc)
-        _collect_ann_types(node.ann, acc)
-        _collect_types(node.subject, acc)
-    elif isinstance(node, ActiveCheck):
-        _collect_types(node.tgt, acc)
-        _collect_types(node.current, acc)
-    elif isinstance(node, CoercionStack):
-        _collect_types(node.tgt, acc)
-        for entry in node.pending:
-            acc.setdefault(canon(entry.ref), entry.ref)
-        _collect_types(node.current, acc)
-    elif isinstance(node, Cond):
-        _collect_types(node.guard, acc)
-        _collect_types(node.then, acc)
-        _collect_types(node.orelse, acc)
-    else:
-        raise TypeError(f"types_of: not a term or type: {node!r}")
+def _types_in(node: Node) -> dict[str, Type]:
+    """Canonical key -> type for every type occurring in node, on an explicit stack."""
 
-
-def _collect_ann_types(ann: Annotation, acc: dict[str, Type]) -> None:
-    if isinstance(ann, EmptyAnn):
-        return
-    if isinstance(ann, Types):
-        for t in ann.types:
-            _collect_types(t, acc)
-        return
-    _collect_coercion_types(ann.coercion, acc)
-
-
-def _collect_coercion_types(c: Coercion, acc: dict[str, Type]) -> None:
-    # A refinement-list entry contributes the refinement itself, nothing more.
-    if isinstance(c, Refs):
-        for entry in c.entries:
-            acc.setdefault(canon(entry.ref), entry.ref)
-    else:
-        _collect_coercion_types(c.dom, acc)
-        _collect_coercion_types(c.cod, acc)
+    found: dict[str, Type] = {}
+    todo: list[Node] = [node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, (Refinement, Fun)):
+            found.setdefault(canon(n), n)
+            todo += (n.cod, n.dom) if isinstance(n, Fun) else (n.predicate,)
+        else:
+            for e in subterms(n):
+                whole, alone = held_types(e)
+                todo += whole
+                for ref in alone:
+                    found.setdefault(canon(ref), ref)
+    return found
 
 
 def height(t: Type) -> int:
@@ -635,29 +681,4 @@ def height(t: Type) -> int:
 def term_size(e: Term) -> int:
     """Node count of the term proper; types and annotations are not counted."""
 
-    size = 0
-    todo: list[Term] = [e]
-    while todo:
-        node = todo.pop()
-        size += 1
-        if isinstance(node, (Var, Const, Blame)):
-            continue
-        if isinstance(node, (Abs, Fix)):
-            todo.append(node.body)
-        elif isinstance(node, App):
-            todo.append(node.fn)
-            todo.append(node.arg)
-        elif isinstance(node, Op):
-            todo.extend(node.args)
-        elif isinstance(node, Cast):
-            todo.append(node.subject)
-        elif isinstance(node, (ActiveCheck, CoercionStack)):
-            todo.append(node.current)
-            todo.append(node.scrutinee)
-        elif isinstance(node, Cond):
-            todo.append(node.guard)
-            todo.append(node.then)
-            todo.append(node.orelse)
-        else:
-            raise TypeError(f"term_size: not a term: {node!r}")
-    return size
+    return sum(1 for _ in subterms(e))

@@ -137,6 +137,36 @@ def test_axiom_oracle_flag(tmp_path, capsys):
     assert code == 0 and out.strip() == "5"
 
 
+def test_missing_program_file_is_an_input_error(tmp_path, capsys):
+    missing = str(tmp_path / "nonexist.lh")
+    assert main(["run", missing]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["run", missing, "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    validate(payload)
+    assert "nonexist.lh" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[[", json.dumps({"lhs": "{x:Int|true}"}), json.dumps([["{x:Int|x >", "{x:Int|true}"]])],
+    ids=["bad-json", "not-pairs", "bad-type"],
+)
+def test_bad_axioms_file_is_an_input_error(tmp_path, capsys, text):
+    axioms = tmp_path / "axioms.json"
+    axioms.write_text(text)
+    argv = ["run", TRIPLE, "--oracle", "axioms", "--axioms", str(axioms)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(argv + ["--json"]) == 2
+    validate(json.loads(capsys.readouterr().out))
+
+
+def test_axioms_oracle_without_file_is_an_input_error(capsys):
+    assert main(["run", TRIPLE, "--oracle", "axioms"]) == 2
+    assert "--axioms" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["run", TRIPLE, "--mode", "eidetic", "--trace", "--json"], ["diff", TRIPLE]],

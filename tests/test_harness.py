@@ -8,7 +8,6 @@ from lh import eval_term
 from lh.harness import (
     ANY,
     NAT,
-    _subterms,
     assoc_counterexamples,
     check_trace,
     coercion_eq,
@@ -20,7 +19,7 @@ from lh.harness import (
 )
 from lh.semantics import OutcomeKind, coercion_merge, machine, merge
 from lh.surface import parse, parse_type, print_term
-from lh.syntax import ALL_MODES, App, Cast, Const, EMPTY_ANN, Fix, Mode, Refs, alpha_eq, type_keys
+from lh.syntax import ALL_MODES, App, Cast, Const, EMPTY_ANN, Fix, Mode, Refs, alpha_eq, subterms, type_keys
 from lh.typecheck import Checker, TypeCheckError, check_source
 
 
@@ -40,7 +39,7 @@ def test_gen_source_roundtrips():
 
 def test_gen_source_nested_cast_ratio():
     def nested(e):
-        return any(isinstance(s, Cast) and isinstance(s.subject, Cast) for s in _subterms(e))
+        return any(isinstance(s, Cast) and isinstance(s.subject, Cast) for s in subterms(e))
 
     n = sum(nested(gen_source(i, 20)) for i in range(200))
     assert n / 200 >= 0.9  # measured 0.99 over 1,000 samples; pinned floor
@@ -106,7 +105,7 @@ def _reference_check_trace(mode, terms):
         prev_keys = keys
         if mode is Mode.CLASSIC:
             continue
-        for sub in _subterms(term):
+        for sub in subterms(term):
             if not (isinstance(sub, Cast) and isinstance(sub.subject, Cast)):
                 continue
             inner = sub.subject

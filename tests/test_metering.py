@@ -20,7 +20,7 @@ from lh.metering import (
 )
 from lh.semantics import OutcomeKind
 from lh.surface import parse
-from lh.syntax import ALL_MODES, App, Const, Fix, Mode, alpha_eq
+from lh.syntax import ALL_MODES, App, Const, Fix, Mode, alpha_eq, type_keys
 
 
 def test_space_stats_constant():
@@ -79,6 +79,7 @@ def test_meter_matches_direct_stats_generated(seed, size):
         terms = traced.trace_terms()
         for (rule, stats), term in zip(series, terms[1:]):
             assert stats == space_stats(term), (mode, rule)
+            assert stats.live_types == len(type_keys(term)), (mode, rule)
 
 
 @settings(max_examples=40, deadline=None)

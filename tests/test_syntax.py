@@ -1,4 +1,5 @@
-from lh.surface import parse, print_term
+from lh.metering import space_stats
+from lh.surface import parse, parse_type, print_term
 from lh.syntax import (
     Abs,
     App,
@@ -18,6 +19,7 @@ from lh.syntax import (
     raw,
     subst,
     term_size,
+    type_keys,
     types_of,
 )
 
@@ -92,3 +94,17 @@ def test_height_and_term_size(e3):
     # cast(cast(cast(-1))) plus three predicates of sizes 1, 4, 4 inside types is
     # not counted: term_size counts term nodes only
     assert term_size(e3) == 4
+
+
+def test_structural_folds_handle_deep_terms():
+    # 5,000 levels of `<Int => Nat> (...) + 1`, built directly: far deeper than
+    # the interpreter's recursion limit, so every fold here must be iterative
+    nat = parse_type("{x:Int|x >= 0}")
+    e = Const(0)
+    for i in range(5_000):
+        e = Op("+", (Cast(RAW_INT, EMPTY_ANN, nat, f"l{i}", e), Const(1)))
+    assert type_keys(e) == {canon(RAW_INT), canon(nat)}
+    assert {canon(t) for t in types_of(e)} == {canon(RAW_INT), canon(nat)}
+    assert term_size(e) == 3 * 5_000 + 1
+    stats = space_stats(e)
+    assert stats.pending == 5_000 and stats.live_types == 2
