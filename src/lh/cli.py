@@ -93,16 +93,13 @@ def _machine(config: RunConfig) -> Machine:
     return Machine(config.mode, oracle=_load_oracle(config), choose_policy=config.choose_policy)
 
 
-def _read_program(path: str, runtime_forms: bool) -> Term:
+def _read_program(path: str) -> Term:
     try:
         with open(path) as fh:
             text = fh.read()
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    term = parse(text)
-    if not runtime_forms:
-        check_source(term)
-    return term
+    return parse(text)
 
 
 _INPUT_ERRORS = (InputError, ParseError, TypeCheckError)
@@ -140,8 +137,7 @@ def _print_outcome(out: Outcome) -> None:
 
 def cmd_check(args) -> int:
     try:
-        term = _read_program(args.file, runtime_forms=False)
-        ty = check_source(term)
+        ty = check_source(_read_program(args.file))
     except _INPUT_ERRORS as exc:
         if args.json:
             print(json.dumps({"ok": False, "error": str(exc)}))
@@ -157,7 +153,9 @@ def cmd_check(args) -> int:
 
 def run_file(path: str, config: RunConfig, runtime_forms: bool = False, series_out: Optional[str] = None) -> int:
     try:
-        term = _read_program(path, runtime_forms)
+        term = _read_program(path)
+        if not runtime_forms:
+            check_source(term)
         mach = _machine(config)
     except _INPUT_ERRORS as exc:
         if config.json:
@@ -216,7 +214,8 @@ def cmd_run(args) -> int:
 
 def cmd_diff(args) -> int:
     try:
-        term = _read_program(args.file, runtime_forms=False)
+        term = _read_program(args.file)
+        check_source(term)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

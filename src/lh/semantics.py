@@ -6,9 +6,16 @@ eidetic compiles casts to coercions and drains them on a stack.
 
 `step` is the reference stepper: it finds the unique redex by recursion from
 the root and reports the rule that fired.  `Machine.eval` runs the same rules
-over an explicit context stack so long traces cost amortized constant work
-per step instead of a root-to-redex walk; an optional meter observes every
-transition for space accounting.
+over an explicit evaluation context, so a step costs work proportional to the
+local change instead of a root-to-redex walk.  The context is a persistent
+stack of frames, `(innermost frame, rest)` pairs ending in None, which plain,
+metered and traced runs all share.  A traced run records one `TraceStep` per
+step, holding the step index, the rule, and the context and focus just after
+the step: O(1) work and memory per step, as contexts share their tails.
+`TraceStep.term` plugs the focus back into the context when it is read, in
+O(depth), and gives the same term, with the same shared nodes, as rebuilding
+it at the step would.  An optional meter observes every push, pop and step
+for space accounting.
 """
 
 from __future__ import annotations
@@ -306,11 +313,37 @@ class OutcomeKind(enum.Enum):
     STUCK = "stuck"
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    index: int
-    rule: str
-    term: Term
+    """One machine step: its 1-based index, the rule that fired, and the
+    context and focus just after it.  `term` plugs the focus back into the
+    context, so recording a step is O(1) and reading `term` is O(depth)."""
+
+    __slots__ = ("index", "rule", "_ctx", "_focus")
+
+    def __init__(self, index: int, rule: str, ctx: Context, focus: Term):
+        self.index = index
+        self.rule = rule
+        self._ctx = ctx
+        self._focus = focus
+
+    @property
+    def term(self) -> Term:
+        whole, ctx = self._focus, self._ctx
+        while ctx is not None:
+            frame, ctx = ctx
+            whole = frame.rebuild(whole)
+        return whole
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TraceStep):
+            return NotImplemented
+        return (self.index, self.rule, self.term) == (other.index, other.rule, other.term)
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.rule, self.term))
+
+    def __repr__(self) -> str:
+        return f"TraceStep(index={self.index!r}, rule={self.rule!r}, term={self.term!r})"
 
 
 @dataclass(frozen=True)
@@ -403,6 +436,11 @@ class FStack:
 
 
 Frame = Union[FAppL, FAppR, FOp, FCond, FCastSub, FCheck, FStack]
+
+# An evaluation context as a persistent stack: None is the empty context and
+# (frame, rest) has `frame` innermost.  Nothing is updated in place, so a
+# context recorded in a trace stays valid while the machine runs on.
+Context = Optional[tuple[Frame, "Context"]]
 
 
 def frame_siblings(frame: Frame) -> tuple[Term, ...]:
@@ -658,25 +696,24 @@ class Machine:
     # -- machine evaluation
 
     def eval(self, e: Term, budget: int, trace: bool = False, meter=None) -> Outcome:
-        frames: list[Frame] = []
+        ctx: Context = None
         focus = e
         steps = 0
-        trace_steps: list[TraceStep] = []
+        recorded: Optional[list[TraceStep]] = [] if trace else None
         if meter is not None:
             meter.init(focus)
         while True:
             act = self._local(focus)
             tag = act[0]
             if tag == _DESCEND:
-                frame, child = act[1], act[2]
-                frames.append(frame)
+                frame, focus = act[1], act[2]
+                ctx = (frame, ctx)
                 if meter is not None:
-                    meter.push(frame, child)
-                focus = child
+                    meter.push(frame, focus)
                 continue
             if tag == _STEP:
                 if steps >= budget:
-                    return Outcome(OutcomeKind.BUDGET, steps=steps, initial=e, trace=tuple(trace_steps) if trace else None)
+                    break
                 new, rule = act[1], act[2]
                 if meter is not None:
                     meter.replace(focus, new)
@@ -684,38 +721,27 @@ class Machine:
                 steps += 1
                 if meter is not None:
                     meter.record(rule, focus)
-                if trace:
-                    whole = focus
-                    for fr in reversed(frames):
-                        whole = fr.rebuild(whole)
-                    trace_steps.append(TraceStep(steps, rule, whole))
-                if frames and isinstance(frames[-1], FCastSub):
-                    # the parent cast may now be able to merge or raise
-                    frame = frames.pop()
-                    rebuilt = frame.rebuild(focus)
-                    if meter is not None:
-                        meter.pop(frame, focus, rebuilt)
-                    focus = rebuilt
-                continue
-            if tag in (_VALUE, _BLAME):
-                if frames:
-                    frame = frames.pop()
-                    rebuilt = frame.rebuild(focus)
-                    if meter is not None:
-                        meter.pop(frame, focus, rebuilt)
-                    focus = rebuilt
+                if recorded is not None:
+                    recorded.append(TraceStep(steps, rule, ctx, focus))
+                if ctx is None or not isinstance(ctx[0], FCastSub):
                     continue
-                common = dict(steps=steps, initial=e, trace=tuple(trace_steps) if trace else None)
-                if tag == _VALUE:
-                    return Outcome(OutcomeKind.VALUE, term=focus, **common)
-                return Outcome(OutcomeKind.BLAME, label=act[1], **common)
-            return Outcome(
-                OutcomeKind.STUCK,
-                steps=steps,
-                stuck_reason=act[1],
-                initial=e,
-                trace=tuple(trace_steps) if trace else None,
-            )
+                # the parent cast may now be able to merge or raise: pop it
+            elif tag == _STUCK or ctx is None:
+                break  # stuck, or a value or blame with no context left
+            frame, ctx = ctx  # pop: plug the focus back into its frame
+            rebuilt = frame.rebuild(focus)
+            if meter is not None:
+                meter.pop(frame, focus, rebuilt)
+            focus = rebuilt
+
+        common = dict(steps=steps, initial=e, trace=None if recorded is None else tuple(recorded))
+        if tag == _STEP:
+            return Outcome(OutcomeKind.BUDGET, **common)
+        if tag == _VALUE:
+            return Outcome(OutcomeKind.VALUE, term=focus, **common)
+        if tag == _BLAME:
+            return Outcome(OutcomeKind.BLAME, label=act[1], **common)
+        return Outcome(OutcomeKind.STUCK, stuck_reason=act[1], **common)
 
 
 _DEFAULT_MACHINES: dict[Mode, Machine] = {}

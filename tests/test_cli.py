@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from conftest import EXAMPLES
+from lh import cli
 from lh.cli import DEFAULT_BUDGET, build_parser, main
 
 SCHEMA = json.loads(
@@ -40,6 +41,20 @@ def test_check_json(capsys):
     payload = json.loads(out)
     validate(payload)
     assert code == 0 and payload["ok"]
+
+
+def test_check_typechecks_once(capsys, monkeypatch):
+    calls = []
+    real = cli.check_source
+
+    def counting(term):
+        calls.append(term)
+        return real(term)
+
+    monkeypatch.setattr(cli, "check_source", counting)
+    code, out = run_cli(capsys, "check", TRIPLE)
+    assert code == 0 and out.strip() == "{x:Int | x <> 0}"
+    assert len(calls) == 1
 
 
 def test_check_rejects_ill_typed(tmp_path, capsys):

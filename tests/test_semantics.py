@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lh import eval_term
+from conftest import load_example
+from lh import eval_term, semantics
 from lh.harness import gen_source
 from lh.semantics import (
     DEFAULT_ORACLE,
@@ -27,6 +28,7 @@ from lh.semantics import (
 from lh.surface import parse, parse_type, print_term
 from lh.syntax import (
     ALL_MODES,
+    App,
     Cast,
     Coerce,
     Const,
@@ -263,6 +265,73 @@ def test_machine_agrees_with_reference_stepper(seed, size):
             assert isinstance(final, IsValue)
         elif out.kind is OutcomeKind.BLAME:
             assert isinstance(final, IsBlame) and final.label == out.label
+
+
+def _fact(n):
+    return App(App(load_example("fact.lh").fn.fn, Const(n)), Const(1))
+
+
+# a tail loop whose base-case cast blames: classic and eidetic blame the
+# innermost cast, forgetful and heedful keep only the outer one
+BLAMING_LOOP = r"""
+let rec loop : {x:Int|true} -> {x:Int|true} -> {x:Int|x >= 0} =
+  \n:{x:Int|true}. \acc:{x:Int|true}.
+    if n = 0 then <{x:Int|true} => {x:Int|x >= 0} @ lbase> acc
+    else <{x:Int|x >= 0} => {x:Int|x >= 0} @ lrec> (loop (n - 1) (acc + n));
+loop 8 (-100)
+"""
+
+
+def _assert_agrees_with_reference(mode, e):
+    """Recursive programs reach deep contexts and long runs of FCastSub
+    pops, which gen_source never builds."""
+
+    out = eval_term(mode, e, 100_000, trace=True)
+    terms, rules, final = _naive_trace(mode, e, limit=100_000)
+    assert [s.rule for s in out.trace] == rules
+    machine_terms = out.trace_terms()
+    assert len(machine_terms) == len(terms)
+    for a, b in zip(machine_terms, terms):
+        assert alpha_eq(a, b)
+    for i, s in enumerate(out.trace):
+        assert alpha_eq(s.term, machine_terms[i + 1])
+    if out.kind is OutcomeKind.VALUE:
+        assert isinstance(final, IsValue)
+    else:
+        assert isinstance(final, IsBlame) and final.label == out.label
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_machine_agrees_with_reference_stepper_on_fact(n):
+    for mode in ALL_MODES:
+        assert _assert_agrees_with_reference(mode, _fact(n)).kind is OutcomeKind.VALUE
+
+
+def test_machine_agrees_with_reference_stepper_on_blaming_loop():
+    labels = {Mode.CLASSIC: "lbase", Mode.FORGETFUL: "lrec", Mode.HEEDFUL: "lrec", Mode.EIDETIC: "lbase"}
+    for mode in ALL_MODES:
+        out = _assert_agrees_with_reference(mode, parse(BLAMING_LOOP))
+        assert out.kind is OutcomeKind.BLAME and out.label == labels[mode]
+
+
+def test_tracing_rebuilds_no_more_than_plain_eval(monkeypatch):
+    # recording a step must not plug the focus back into the whole context:
+    # each read of a step's term does that, not the machine
+    calls = [0]
+    for cls in (semantics.FAppL, semantics.FAppR, semantics.FOp, semantics.FCond,
+                semantics.FCastSub, semantics.FCheck, semantics.FStack):
+        def counted(self, child, _rebuild=cls.rebuild):
+            calls[0] += 1
+            return _rebuild(self, child)
+
+        monkeypatch.setattr(cls, "rebuild", counted)
+    e = _fact(200)
+    plain = eval_term(Mode.CLASSIC, e, 100_000)
+    plain_calls, calls[0] = calls[0], 0
+    traced = eval_term(Mode.CLASSIC, e, 100_000, trace=True)
+    assert traced.steps == plain.steps > 2_000 and len(traced.trace) == traced.steps
+    assert plain_calls > 0 and calls[0] <= plain_calls
 
 
 def test_determinism_rerun_identical(e3):
