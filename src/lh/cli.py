@@ -1,10 +1,11 @@
 """Command-line driver: check, run, diff and fuzz over `.lh` files.
 
 Exit codes: 0 value, 1 blame, 2 the input could not be read, parsed or typed
-(a program file, or the --axioms file and its --oracle), 3 stuck, 4 budget
-exceeded.  A standard output closed by its reader (as by `| head`) ends the
-command quietly with exit code 1.  The LH_BUDGET environment variable
-overrides the default step budget when --budget is not given.
+(a program file, or the --axioms file and its --oracle) or the options do not
+fit together (--series without --space), 3 stuck, 4 budget exceeded.  A
+standard output closed by its reader (as by `| head`) ends the command
+quietly with exit code 1.  The LH_BUDGET environment variable overrides the
+default step budget when --budget is not given.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ def cmd_check(args) -> int:
 
 def run_file(path: str, config: RunConfig, runtime_forms: bool = False, series_out: Optional[str] = None) -> int:
     try:
+        if series_out and not config.space:
+            raise InputError("--series needs --space")
         term = _read_program(path)
         if not runtime_forms:
             check_source(term)
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=_default_budget())
     p.add_argument("--json", action="store_true")
     p.add_argument("--runtime-forms", action="store_true", help="skip the source-program check")
-    p.add_argument("--series", metavar="OUT.CSV", help="write the per-step space series as CSV")
+    p.add_argument("--series", metavar="OUT.CSV", help="write the per-step space series as CSV (needs --space)")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--space", action="store_true")
     p.add_argument("--choose", default="lex-min", choices=sorted(CHOOSE_POLICIES))

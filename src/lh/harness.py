@@ -5,10 +5,11 @@ invariants (preservation, type monotonicity, merge priority).
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from . import semantics
 from .semantics import (
@@ -42,6 +43,9 @@ from .syntax import (
     Type,
     Var,
     alpha_eq,
+    canon,
+    children,
+    held_types,
     is_raw,
     raw,
     subterms,
@@ -307,46 +311,159 @@ def diff_modes(e: Term, budget: int = 10_000) -> DiffReport:
 # Trace invariants
 
 
-def check_trace(mode: Mode, terms: Sequence[Term]) -> list[str]:
+def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     """Findings for preservation, type monotonicity, and merge priority along
     an evaluation trace (first element is the initial term).
 
-    One checker serves the whole trace and advances its memo generation
-    before each term, so only the nodes a step rebuilt are checked again."""
+    `terms` may be any iterable, such as a generator over a trace's steps;
+    only the current and the previous term are held.  Their nodes live in
+    one table (`_LiveNodes`), which visits a node when it first appears and
+    again when it leaves, so a term costs time in proportion to the nodes
+    the step rebuilt.  The table keeps the type keys of the live nodes
+    counted, so that types grew exactly when entering a term raised a key's
+    count from zero, and the live casts over a mergeable cast pair that the
+    machine would not merge first.  One checker serves the whole trace; a
+    node's judgments are forgotten when the node leaves the table, so a node
+    that a step did not rebuild is checked only once."""
 
-    findings: list[str] = []
-    if not terms:
-        return findings
+    terms = iter(terms)
+    first = next(terms, None)
+    if first is None:
+        return []
     checker = Checker(mode)
     try:
-        ty = checker.infer({}, terms[0])
+        ty = checker.infer({}, first)
     except TypeCheckError as exc:
         return [f"step 0: initial term does not typecheck: {exc}"]
 
-    prev_keys = None
-    mach = machine(mode)
-    for i, term in enumerate(terms):
-        checker.advance()
+    findings: list[str] = []
+    live = _LiveNodes(mode)
+    prev = None
+    for i, term in enumerate(itertools.chain((first,), terms)):
+        grew = live.enter(term)
         try:
             checker.check({}, term, ty)
         except TypeCheckError as exc:
             findings.append(f"step {i}: preservation failure: {exc}")
-        keys = type_keys(term)
-        if prev_keys is not None and not keys <= prev_keys:
-            findings.append(f"step {i}: types grew along the trace")
-        prev_keys = keys
-
-        if mode is not Mode.CLASSIC:
-            for sub in subterms(term):
-                if not (isinstance(sub, Cast) and isinstance(sub.subject, Cast)):
-                    continue
-                inner = sub.subject
-                if merge(mode, inner.src, inner.ann, inner.tgt, sub.ann, sub.tgt, mach.oracle) is None:
-                    continue
-                act = mach._local(sub)
-                if not (act[0] == "step" and act[2] == "E-CastMergeE"):
-                    findings.append(f"step {i}: mergeable cast pair did not merge first")
+        if prev is not None:
+            if grew:
+                findings.append(f"step {i}: types grew along the trace")
+            checker.forget(live.leave(prev))
+        if live.unmerged:
+            # once per occurrence, as a walk over the subterms meets them
+            unmerged = sum(1 for sub in subterms(term) if sub in live.unmerged)
+            findings += [f"step {i}: mergeable cast pair did not merge first"] * unmerged
+        prev = term
     return findings
+
+
+class _LiveNodes:
+    """The term nodes of at most two trace terms, keyed by identity.
+
+    `table` maps each live node to `[count, children, held types]`, where
+    count is the number of its parent edges from live nodes plus the terms
+    rooted at it.  `holders` counts the live nodes holding each type object
+    whole.  `keys` counts, per type key, the type objects in `holders` that
+    carry it plus the refinement-list entries with that key that live nodes
+    hold, so the keys with a count are `type_keys` of the live terms.
+    `unmerged` holds the live casts over a mergeable cast pair that the
+    machine would not merge first."""
+
+    def __init__(self, mode: Mode):
+        self.mach = machine(mode)
+        self.pairs = mode is not Mode.CLASSIC  # classic never merges casts
+        self.table: dict[Term, list] = {}
+        self.holders: dict[Type, int] = {}
+        self.keys: dict[str, int] = {}
+        self.unmerged: set[Term] = set()
+
+    def enter(self, root: Term) -> bool:
+        """Count one more term rooted at root, adding the nodes that are not
+        live yet; True if a type key that no live node had appeared."""
+
+        table, holders, keys = self.table, self.holders, self.keys
+        grew = False
+        todo = [root]
+        while todo:
+            node = todo.pop()
+            entry = table.get(node)
+            if entry is not None:
+                entry[0] += 1
+                continue
+            kids = children(node)
+            held = held_types(node)
+            table[node] = [1, kids, held]
+            todo += kids
+            whole, alone = held
+            if not whole:
+                continue
+            for t in whole:
+                n = holders.get(t, 0)
+                holders[t] = n + 1
+                if not n:
+                    for key in type_keys(t):
+                        grew = _acquire(keys, key) or grew
+            for ref in alone:
+                grew = _acquire(keys, canon(ref)) or grew
+            if self.pairs and isinstance(node, Cast) and isinstance(node.subject, Cast) and self._unmerged(node):
+                self.unmerged.add(node)
+        return grew
+
+    def _unmerged(self, cast: Cast) -> bool:
+        inner = cast.subject
+        mach = self.mach
+        if merge(mach.mode, inner.src, inner.ann, inner.tgt, cast.ann, cast.tgt, mach.oracle) is None:
+            return False
+        act = mach._local(cast)
+        return not (act[0] == "step" and act[2] == "E-CastMergeE")
+
+    def leave(self, root: Term) -> list[Term]:
+        """Count one term rooted at root less; drop and return every node
+        that no live node or term refers to any more."""
+
+        table, holders, keys = self.table, self.holders, self.keys
+        entry = table[root]
+        entry[0] -= 1
+        if entry[0]:
+            return []
+        dropped = [root]
+        for node in dropped:  # grows while it is read
+            _, kids, (whole, alone) = table.pop(node)
+            for kid in kids:
+                entry = table[kid]
+                entry[0] -= 1
+                if not entry[0]:
+                    dropped.append(kid)
+            if not whole:
+                continue
+            for t in whole:
+                n = holders[t] - 1
+                if n:
+                    holders[t] = n
+                    continue
+                del holders[t]
+                for key in type_keys(t):
+                    _release(keys, key)
+            for ref in alone:
+                _release(keys, canon(ref))
+            self.unmerged.discard(node)
+        return dropped
+
+
+def _acquire(counts: dict, key) -> bool:
+    """Count key once more; True if it had no count."""
+
+    n = counts.get(key, 0)
+    counts[key] = n + 1
+    return not n
+
+
+def _release(counts: dict, key) -> None:
+    n = counts[key] - 1
+    if n:
+        counts[key] = n
+    else:
+        del counts[key]
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +583,8 @@ def run_fuzz(
                 out = semantics.eval_term(mode, term, budget, trace=True)
                 if out.kind is OutcomeKind.BUDGET:
                     continue
-                found = check_trace(mode, out.trace_terms())
+                terms = itertools.chain((out.initial,), (s.term for s in out.trace))
+                found = check_trace(mode, terms)
                 if found:
                     failures.append(
                         {"index": i, "size": size, "mode": mode.value, "trace_findings": found}

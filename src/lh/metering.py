@@ -8,7 +8,6 @@ per-step cost stays proportional to the local change, not the term size.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Optional
 
@@ -278,7 +277,3 @@ def write_series_csv(series: list[tuple[str, SpaceStats]], out: IO[str]) -> None
 
 def series_json(series: list[tuple[str, SpaceStats]]) -> list[dict]:
     return [{"step": i, "rule": rule, **stats.as_dict()} for i, (rule, stats) in enumerate(series, start=1)]
-
-
-def write_series_json(series: list[tuple[str, SpaceStats]], out: IO[str]) -> None:
-    json.dump(series_json(series), out, indent=2)

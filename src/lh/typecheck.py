@@ -8,25 +8,24 @@ evaluation with a step budget, so re-typechecking whole traces is decidable.
 
 Memoization.  Nodes are immutable and compared by identity, so a verdict
 about a node holds for as long as the node exists.  Each `Checker` keeps
-its successful judgments in dicts it owns (never in node attributes),
-keyed by node identity:
+its successful judgments in one memo it owns (never in node attributes):
+a dict from a node, by identity, to the judgments about it, which are
 
-- a type node: `wf_type` succeeded on it;
-- a closed term (one checked under the empty environment, always with the
-  checker's own `source` flag): the type `infer` gave it;
-- a (closed term, expected type object) pair: `check` succeeded on it;
-- an (abstraction, type) pair under the tag "redex": the function type a
-  redex checks its abstraction against, built once so that the pair above
-  still hits after the step that rebuilt the redex.
+- for a type node: `wf_type` succeeded on it;
+- for a closed term (one checked under the empty environment, always with
+  the checker's own `source` flag): the type `infer` gave it; for each
+  expected type object it was checked against, that `check` succeeded; and,
+  for an abstraction, per type t the function type `Fun(annot, t)` a redex
+  checks it against, built once so that the judgment above still hits after
+  the step that rebuilt the redex.
 
 Failures are never stored, so every error is raised again, with the same
-kind, path and message, by the same rules.  The dicts come in two
-generations: `advance` retires the current one and drops the one before, and
-a hit in the retired generation is copied into the current one.  A checker
-that is never advanced keeps its judgments for its own lifetime;
-`harness.check_trace` advances before each trace term, so that memory stays
-at about two terms' worth of nodes while the nodes a step did not rebuild
-are checked only once.
+kind, path and message, by the same rules.  The memo has no generations: a
+checker keeps a node's judgments until `forget` drops them.
+`harness.check_trace` forgets each term node when it leaves the last two
+trace terms, so the memo holds about two terms' worth of term nodes (plus
+the type nodes checked well formed) and a node that a step did not rebuild
+is never checked again.
 
 Premise and replay verdicts (does a predicate instance evaluate to `true`,
 does an active check's state follow from its predicate) are shared by all
@@ -37,7 +36,7 @@ hold at most `VERDICT_CACHE_LIMIT` entries each, evicting the oldest first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from . import semantics
 from .semantics import DEFAULT_ORACLE, ImplicationOracle, Machine, OutcomeKind, implies
@@ -167,6 +166,15 @@ _PREMISE_CACHE: dict[tuple[Mode, ImplicationOracle, int, str], Union[bool, str]]
 _REPLAY_CACHE: dict[tuple[Mode, ImplicationOracle, int, str, str], Union[bool, str]] = {}
 
 
+# judgment keys in the checker memo, besides expected type objects
+_WELL_FORMED = "wf"
+_INFERRED = "type"
+
+# the forms with checking rules of their own; every other form is checked
+# by inferring its type and comparing
+_CHECKING_FORMS = (Const, Blame, Abs, Cond, App)
+
+
 def _remember(cache: dict, key: tuple, verdict: Union[bool, str]) -> None:
     if len(cache) >= VERDICT_CACHE_LIMIT:
         del cache[next(iter(cache))]  # dicts keep insertion order: oldest first
@@ -179,16 +187,22 @@ class Checker:
     source: bool = False
     oracle: ImplicationOracle = DEFAULT_ORACLE
     budget: int = PREDICATE_BUDGET
-    # successful judgments by node identity: current and retired generation
+    # node -> {judgment key: result}, for the successful judgments only
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _retired: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def advance(self) -> None:
-        """Start a new memo generation and drop the one before the current.
-        Every lookup stores its entry in the current generation again."""
+    def forget(self, nodes: Iterable[Union[Term, Type]]) -> None:
+        """Drop every judgment about these nodes."""
 
-        self._retired = self._memo
-        self._memo = {}
+        pop = self._memo.pop
+        for node in nodes:
+            pop(node, None)
+
+    def _note(self, node, key, result) -> None:
+        facts = self._memo.get(node)
+        if facts is None:
+            self._memo[node] = {key: result}
+        else:
+            facts[key] = result
 
     # -- premise evaluation
 
@@ -234,9 +248,10 @@ class Checker:
     # -- well-formedness
 
     def wf_type(self, t: Type, path: str = "") -> None:
-        if not (self._memo.get(t) or self._retired.get(t)):
+        facts = self._memo.get(t)
+        if facts is None or _WELL_FORMED not in facts:
             self._wf_type(t, path)
-        self._memo[t] = True
+            self._note(t, _WELL_FORMED, True)
 
     def _wf_type(self, t: Type, path: str) -> None:
         if isinstance(t, Refinement):
@@ -300,13 +315,27 @@ class Checker:
     def _infer(self, env: dict[str, Type], e: Term, path: str, source: bool) -> Type:
         if env:
             return self._infer_rule(env, e, path, source)
-        t = self._memo.get(e) or self._retired.get(e)
-        if t is None:
-            t = self._infer_rule(env, e, path, source)
-        self._memo[e] = t
+        facts = self._memo.get(e)
+        if facts is not None:
+            t = facts.get(_INFERRED)
+            if t is not None:
+                return t
+        t = self._infer_rule(env, e, path, source)
+        self._note(e, _INFERRED, t)
         return t
 
     def _infer_rule(self, env: dict[str, Type], e: Term, path: str, source: bool) -> Type:
+        # casts first: they are the most frequent form in trace terms, and
+        # each branch takes one form, so the order decides speed only
+        if isinstance(e, Cast):
+            if source:
+                if not isinstance(e.ann, EmptyAnn):
+                    raise TypeCheckError(SOURCE_VIOLATION, path, "source casts carry empty annotations")
+                if e.label is None:
+                    raise TypeCheckError(SOURCE_VIOLATION, path, "source casts carry named blame labels")
+            self.wf_annotation(e.ann, e.src, e.tgt, path)
+            self._check(env, e.subject, e.src, path + "/subject", source)
+            return e.tgt
         if isinstance(e, Var):
             if e.name not in env:
                 raise TypeCheckError(UNBOUND_VAR, path, f"unbound variable {e.name!r}")
@@ -334,15 +363,6 @@ class Checker:
             for i, (arg, dom) in enumerate(zip(e.args, doms)):
                 self._check(env, arg, dom, f"{path}/arg{i}", source)
             return cod
-        if isinstance(e, Cast):
-            if source:
-                if not isinstance(e.ann, EmptyAnn):
-                    raise TypeCheckError(SOURCE_VIOLATION, path, "source casts carry empty annotations")
-                if e.label is None:
-                    raise TypeCheckError(SOURCE_VIOLATION, path, "source casts carry named blame labels")
-            self.wf_annotation(e.ann, e.src, e.tgt, path)
-            self._check(env, e.subject, e.src, path + "/subject", source)
-            return e.tgt
         if isinstance(e, Cond):
             self._check_guard(env, e.guard, path + "/guard", source)
             try:
@@ -378,53 +398,54 @@ class Checker:
         if env:
             self._check_rule(env, e, t, path, source)
             return
-        key = (e, t)
-        if not (self._memo.get(key) or self._retired.get(key)):
+        facts = self._memo.get(e)
+        if facts is None or t not in facts:
             self._check_rule(env, e, t, path, source)
-        self._memo[key] = True
+            self._note(e, t, True)
 
     def _check_rule(self, env: dict[str, Type], e: Term, t: Type, path: str, source: bool) -> None:
-        if isinstance(e, Const):
-            if not isinstance(t, Refinement):
-                raise TypeCheckError(NOT_SIMILAR, path, "constant checked against a function type")
-            if e.base is not t.base:
-                raise TypeCheckError(NOT_SIMILAR, path, "constant at the wrong base type")
-            if is_raw(t):
+        if isinstance(e, _CHECKING_FORMS):
+            if isinstance(e, Const):
+                if not isinstance(t, Refinement):
+                    raise TypeCheckError(NOT_SIMILAR, path, "constant checked against a function type")
+                if e.base is not t.base:
+                    raise TypeCheckError(NOT_SIMILAR, path, "constant at the wrong base type")
+                if is_raw(t):
+                    return
+                if source:
+                    raise TypeCheckError(SOURCE_VIOLATION, path, "source constants have raw types")
+                self.wf_type(t, path)
+                if not self._evals_true(subst(t.predicate, t.binder, e), path):
+                    raise TypeCheckError(NOT_SIMILAR, path, "constant does not satisfy the refinement")
                 return
-            if source:
-                raise TypeCheckError(SOURCE_VIOLATION, path, "source constants have raw types")
-            self.wf_type(t, path)
-            if not self._evals_true(subst(t.predicate, t.binder, e), path):
-                raise TypeCheckError(NOT_SIMILAR, path, "constant does not satisfy the refinement")
-            return
-        if isinstance(e, Blame):
-            if source:
-                raise TypeCheckError(SOURCE_VIOLATION, path, "blame is a runtime-only form")
-            self.wf_type(t, path)
-            return
-        if isinstance(e, Abs) and isinstance(t, Fun):
-            if not alpha_eq(e.annot, t.dom):
-                raise TypeCheckError(NOT_SIMILAR, path, "lambda annotation differs from the expected domain")
-            self.wf_type(e.annot, path + "/annot")
-            self._check({**env, e.binder: e.annot}, e.body, t.cod, path + "/body", source)
-            return
-        if isinstance(e, Cond):
-            self._check_guard(env, e.guard, path + "/guard", source)
-            self._check(env, e.then, t, path + "/then", source)
-            self._check(env, e.orelse, t, path + "/else", source)
-            return
-        if isinstance(e, App) and isinstance(e.fn, Abs):
-            # push the expected type through the redex so substituted
-            # constants can be checked against refined codomains
-            self._check(env, e.fn, self._redex_type(e.fn, t), path + "/fn", source)
-            self._check(env, e.arg, e.fn.annot, path + "/arg", source)
-            return
-        if isinstance(e, App) and isinstance(e.fn, Blame) and not source:
-            # blame stands at any type, including function types
-            self.wf_type(t, path)
-            if not isinstance(e.arg, Blame):
-                self._infer(env, e.arg, path + "/arg", source)
-            return
+            if isinstance(e, Blame):
+                if source:
+                    raise TypeCheckError(SOURCE_VIOLATION, path, "blame is a runtime-only form")
+                self.wf_type(t, path)
+                return
+            if isinstance(e, Abs) and isinstance(t, Fun):
+                if not alpha_eq(e.annot, t.dom):
+                    raise TypeCheckError(NOT_SIMILAR, path, "lambda annotation differs from the expected domain")
+                self.wf_type(e.annot, path + "/annot")
+                self._check({**env, e.binder: e.annot}, e.body, t.cod, path + "/body", source)
+                return
+            if isinstance(e, Cond):
+                self._check_guard(env, e.guard, path + "/guard", source)
+                self._check(env, e.then, t, path + "/then", source)
+                self._check(env, e.orelse, t, path + "/else", source)
+                return
+            if isinstance(e, App) and isinstance(e.fn, Abs):
+                # push the expected type through the redex so substituted
+                # constants can be checked against refined codomains
+                self._check(env, e.fn, self._redex_type(e.fn, t), path + "/fn", source)
+                self._check(env, e.arg, e.fn.annot, path + "/arg", source)
+                return
+            if isinstance(e, App) and isinstance(e.fn, Blame) and not source:
+                # blame stands at any type, including function types
+                self.wf_type(t, path)
+                if not isinstance(e.arg, Blame):
+                    self._infer(env, e.arg, path + "/arg", source)
+                return
         inferred = self._infer(env, e, path, source)
         if not alpha_eq(inferred, t):
             raise TypeCheckError(NOT_SIMILAR, path, "inferred type differs from the expected type")
@@ -433,9 +454,12 @@ class Checker:
         """Fun(fn.annot, t), one object per (fn, t) pair, so that the memo
         entry for checking fn survives the rebuilding of its redex."""
 
-        key = (fn, t, "redex")
-        ft = self._memo.get(key) or self._retired.get(key) or Fun(fn.annot, t)
-        self._memo[key] = ft
+        key = ("redex", t)
+        facts = self._memo.get(fn)
+        ft = facts.get(key) if facts is not None else None
+        if ft is None:
+            ft = Fun(fn.annot, t)
+            self._note(fn, key, ft)
         return ft
 
     # -- runtime forms

@@ -101,6 +101,13 @@ def test_run_series_csv(tmp_path, capsys):
     assert len(lines) > 1
 
 
+def test_series_without_space_is_an_input_error(tmp_path, capsys):
+    out_csv = tmp_path / "series.csv"
+    assert main(["run", TRIPLE, "--series", str(out_csv)]) == 2
+    assert capsys.readouterr().err.strip() == "error: --series needs --space"
+    assert not out_csv.exists()
+
+
 def test_diff_command(capsys):
     code, out = run_cli(capsys, "diff", TRIPLE)
     payload = json.loads(out)

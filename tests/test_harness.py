@@ -1,10 +1,12 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_example
-from lh import eval_term
+from lh import eval_term, harness
 from lh.harness import (
     ANY,
     NAT,
@@ -17,9 +19,29 @@ from lh.harness import (
     gen_source,
     run_fuzz,
 )
-from lh.semantics import OutcomeKind, coercion_merge, machine, merge
+from lh.semantics import Machine, OutcomeKind, coercion_merge, machine, merge
 from lh.surface import parse, parse_type, print_term
-from lh.syntax import ALL_MODES, App, Cast, Const, EMPTY_ANN, Fix, Mode, Refs, alpha_eq, subterms, type_keys
+from lh.syntax import (
+    ALL_MODES,
+    Abs,
+    ActiveCheck,
+    App,
+    Cast,
+    CoercionStack,
+    Cond,
+    Const,
+    EMPTY_ANN,
+    Fix,
+    Fun,
+    Mode,
+    Op,
+    Refinement,
+    Refs,
+    alpha_eq,
+    children,
+    subterms,
+    type_keys,
+)
 from lh.typecheck import Checker, TypeCheckError, check_source
 
 
@@ -117,9 +139,59 @@ def _reference_check_trace(mode, terms):
     return findings
 
 
+_CHILD_FIELDS = {
+    Abs: ("body",),
+    Fix: ("body",),
+    App: ("fn", "arg"),
+    Cast: ("subject",),
+    ActiveCheck: ("current", "scrutinee"),
+    CoercionStack: ("current", "scrutinee"),
+    Cond: ("guard", "then", "orelse"),
+}
+
+
+def _swap_deepest(term, swap):
+    """term with its deepest node for which swap gives a replacement replaced,
+    rebuilding only the nodes on the path to it; None if swap gives none."""
+
+    best = None
+    todo = [(term, ())]
+    while todo:
+        node, path = todo.pop()
+        new = swap(node)
+        if new is not None and (best is None or len(path) > len(best[1])):
+            best = new, path
+        todo += [(kid, path + ((node, i),)) for i, kid in enumerate(children(node))]
+    if best is None:
+        return None
+    new, path = best
+    for parent, i in reversed(path):
+        kids = list(children(parent))
+        kids[i] = new
+        if isinstance(parent, Op):
+            new = Op(parent.name, tuple(kids))
+        else:
+            new = dataclasses.replace(parent, **dict(zip(_CHILD_FIELDS[type(parent)], kids)))
+    return new
+
+
+def _other_const(node):
+    if isinstance(node, Const):
+        return Const(0) if isinstance(node.value, bool) else Const(True)
+    return None
+
+
+def _other_label(node):
+    return dataclasses.replace(node, label="swapped") if isinstance(node, Cast) else None
+
+
 def _oracle_traces():
     """Clean traces of generated programs and of a short fact loop in every
-    mode, each with three corrupted copies."""
+    mode, each with corrupted copies: one step replaced by `Const(True)`, by
+    the previous term or by the initial term, which share all or none of
+    their nodes with their neighbours, and one step rebuilt with its deepest
+    constant or cast label swapped, which shares every node off the path to
+    the swapped one."""
 
     fix = load_example("fact.lh").fn.fn
     programs = [gen_source(500 + i, 5 + i % 26) for i in range(24)]
@@ -135,8 +207,10 @@ def _oracle_traces():
             if len(terms) < 2:
                 continue
             j = rng.randrange(1, len(terms))
-            for bad in (Const(True), terms[j - 1], terms[0]):
-                yield mode, terms[:j] + [bad] + terms[j + 1 :]
+            swapped = (_swap_deepest(terms[j], swap) for swap in (_other_const, _other_label))
+            for bad in (Const(True), terms[j - 1], terms[0], *swapped):
+                if bad is not None:
+                    yield mode, terms[:j] + [bad] + terms[j + 1 :]
 
 
 def test_check_trace_matches_whole_term_reference():
@@ -147,6 +221,68 @@ def test_check_trace_matches_whole_term_reference():
         traces += 1
         with_findings += bool(expected)
     assert with_findings >= traces // 4  # the corrupted copies are caught
+
+
+def test_unmerged_pair_on_a_shared_subterm_is_found_per_occurrence(monkeypatch):
+    # one cast pair object, mergeable in forgetful mode, twice in one term
+    pair = Cast(ANY, EMPTY_ANN, ANY, "l1", Cast(ANY, EMPTY_ANN, ANY, "l2", Const(3)))
+    slow = Op("+", (Op("+", (Const(1), Const(2))), Const(4)))
+    out = eval_term(Mode.FORGETFUL, Op("+", (slow, Op("+", (pair, pair)))), 1_000, trace=True)
+    terms = out.trace_terms()
+    # a machine that steps a cast's subject before merging it into the cast
+    stepped_first = Machine._local
+
+    def subject_first(self, e):
+        if isinstance(e, Cast) and isinstance(e.subject, Cast):
+            return ("descend", None, e.subject)
+        return stepped_first(self, e)
+
+    monkeypatch.setattr(Machine, "_local", subject_first)
+    found = check_trace(Mode.FORGETFUL, terms)
+    assert found == _reference_check_trace(Mode.FORGETFUL, terms)
+    per_step = Counter(f.split(":")[0] for f in found if f.endswith("did not merge first"))
+    # both occurrences while the left operand reduces, then the one not yet merged
+    assert [per_step[f"step {i}"] for i in range(5)] == [2, 2, 2, 1, 1]
+
+
+_LOOP_SRC = """
+let rec loop : {x:Int|true} -> {x:Int|true} -> {x:Int|x >= 0} =
+  \\n:{x:Int|true}. \\acc:{x:Int|true}.
+    if n = 0 then <{x:Int|true} => {x:Int|x >= 0} @ lbase> acc
+    else <{x:Int|x >= 0} => {x:Int|x >= 0} @ lrec> (loop (n - 1) (acc + n));
+loop 20 0
+"""
+
+
+@pytest.mark.parametrize("mode", [Mode.CLASSIC, Mode.EIDETIC])
+@pytest.mark.parametrize("program", ["fact.lh", "loop"])
+def test_check_trace_visits_each_node_once_and_keeps_two_terms(monkeypatch, mode, program):
+    term = load_example(program) if program.endswith(".lh") else parse(_LOOP_SRC)
+    out = eval_term(mode, term, 10_000, trace=True)
+    assert out.kind is OutcomeKind.VALUE
+    terms = out.trace_terms()
+    expected, before = 0, set()
+    for t in terms:
+        now = {id(s) for s in subterms(t)}
+        expected += len(now - before)
+        before = now
+
+    visits = []
+    held_types = harness.held_types
+    monkeypatch.setattr(harness, "held_types", lambda e: visits.append(e) or held_types(e))
+    checkers = []
+
+    class Recorded(Checker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            checkers.append(self)
+
+    monkeypatch.setattr(harness, "Checker", Recorded)
+    assert check_trace(mode, terms) == []
+    assert len(visits) == expected
+    (checker,) = checkers
+    last = {id(s) for s in subterms(terms[-1])}
+    assert [n for n in checker._memo if not isinstance(n, (Refinement, Fun)) and id(n) not in last] == []
 
 
 def test_checker_memo_keeps_expected_types_apart():
