@@ -1,11 +1,10 @@
 """Command-line driver: check, run, diff and fuzz over `.lh` files.
 
 Exit codes: 0 value, 1 blame, 2 the input could not be read, parsed or typed
-(a program file, or the --axioms file and its --oracle) or the options do not
-fit together (--series without --space), 3 stuck, 4 budget exceeded.  A
-standard output closed by its reader (as by `| head`) ends the command
-quietly with exit code 1.  The LH_BUDGET environment variable overrides the
-default step budget when --budget is not given.
+(a program file, or the --axioms file and its --oracle), 3 stuck, 4 budget
+exceeded.  A standard output closed by its reader (as by `| head`) ends the
+command quietly with exit code 1.  The LH_BUDGET environment variable
+overrides the default step budget when --budget is not given.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .harness import diff_modes, run_fuzz
-from .metering import Meter, series_json, write_series_csv
+from .metering import Meter, series_json
 from .semantics import (
     CHOOSE_POLICIES,
     DEFAULT_ORACLE,
@@ -152,10 +151,8 @@ def cmd_check(args) -> int:
     return EXIT_VALUE
 
 
-def run_file(path: str, config: RunConfig, runtime_forms: bool = False, series_out: Optional[str] = None) -> int:
+def run_file(path: str, config: RunConfig, runtime_forms: bool = False) -> int:
     try:
-        if series_out and not config.space:
-            raise InputError("--series needs --space")
         term = _read_program(path)
         if not runtime_forms:
             check_source(term)
@@ -168,7 +165,7 @@ def run_file(path: str, config: RunConfig, runtime_forms: bool = False, series_o
         return EXIT_INPUT_ERROR
     if config.space:
         meter = Meter(series=True)
-        out = mach.eval(term, config.budget, trace=config.trace, meter=meter)
+        out = mach.eval(term, config.budget, trace=config.trace, observer=meter)
         stats, series = meter.max, meter.series
     else:
         out = mach.eval(term, config.budget, trace=config.trace)
@@ -194,10 +191,6 @@ def run_file(path: str, config: RunConfig, runtime_forms: bool = False, series_o
         if stats is not None:
             print("max " + " ".join(f"{k}={v}" for k, v in stats.as_dict().items()))
         _print_outcome(out)
-
-    if series_out and series is not None:
-        with open(series_out, "w", newline="") as fh:
-            write_series_csv(series, fh)
     return _outcome_exit(out)
 
 
@@ -212,7 +205,7 @@ def cmd_run(args) -> int:
         oracle=args.oracle,
         axioms=args.axioms,
     )
-    return run_file(args.file, config, runtime_forms=args.runtime_forms, series_out=args.series)
+    return run_file(args.file, config, runtime_forms=args.runtime_forms)
 
 
 def cmd_diff(args) -> int:
@@ -261,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=_default_budget())
     p.add_argument("--json", action="store_true")
     p.add_argument("--runtime-forms", action="store_true", help="skip the source-program check")
-    p.add_argument("--series", metavar="OUT.CSV", help="write the per-step space series as CSV (needs --space)")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--space", action="store_true")
     p.add_argument("--choose", default="lex-min", choices=sorted(CHOOSE_POLICIES))

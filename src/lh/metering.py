@@ -7,11 +7,10 @@ per-step cost stays proportional to the local change, not the term size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .semantics import FCastSub, Frame, Machine, Outcome, frame_siblings, machine
+from .semantics import Context, Frame, Machine, Outcome, machine
 from .syntax import (
     Abs,
     ActiveCheck,
@@ -160,14 +159,23 @@ def space_stats(e: Term) -> SpaceStats:
 # Incremental meter
 
 
+# A meter frame: the type keys the frame's node holds outside the hole, then
+# totals over the context down to the hole: pending checks, the longest cast
+# chain, the length of the cast chain that ends at the hole, the deepest proxy
+# and the longest refinement list.
+_NO_FRAME: tuple = ((), 0, 0, 0, 0, 0)
+
+
 class Meter:
-    """Observes machine transitions; keeps whole-term SpaceStats current."""
+    """Observes machine transitions; keeps whole-term SpaceStats current.
+
+    Its per-frame data lives on its own stack, parallel to the machine's
+    context, so it writes nothing onto frames that a trace may share."""
 
     def __init__(self, series: bool = False):
         self._counts: dict = {}
         self._distinct = 0
-        self._pending_ctx = 0
-        self._snaps: list[tuple[int, int, int, int]] = []
+        self._frames: list[tuple] = []
         self.max = ZERO_STATS
         self.series: Optional[list[tuple[str, SpaceStats]]] = [] if series else None
 
@@ -191,63 +199,59 @@ class Meter:
             else:
                 counts[k] = n
 
-    # machine hooks
+    # observer events
 
-    def init(self, root: Term) -> None:
+    def start(self, root: Term) -> None:
         self._add(measures(root).tkeys)
         self.max = self._snapshot(root)
 
     def push(self, frame: Frame, child: Term) -> None:
-        node_sm = measures(frame.orig)
         own_keys, own_pending, own_reflist = _own(frame.orig)
-        sibs = [measures(s) for s in frame_siblings(frame)]
-        self._sub(node_sm.tkeys)
+        sibs = [measures(s) for s in frame.siblings()]
+        self._sub(measures(frame.orig).tkeys)
         stored = [own_keys] + [s.tkeys for s in sibs]
         for keys in stored:
             self._add(keys)
         self._add(measures(child).tkeys)
-        frame._meter_keys = stored
-        frame._meter_pending = own_pending + sum(s.pending for s in sibs)
-        self._pending_ctx += frame._meter_pending
 
-        prev = self._snaps[-1] if self._snaps else (0, 0, 0, 0)
-        if isinstance(frame, FCastSub):
-            suffix, ctx_chain = prev[1] + 1, prev[0]
+        _, pending, chain, suffix, proxy, reflist = self._frames[-1] if self._frames else _NO_FRAME
+        if isinstance(frame.orig, Cast):
+            suffix += 1
         else:
-            suffix, ctx_chain = 0, max(prev[0], prev[1])
-        ctx_proxy, ctx_reflist = prev[2], max(prev[3], own_reflist)
+            chain, suffix = max(chain, suffix), 0
+        pending += own_pending
+        reflist = max(reflist, own_reflist)
         for s in sibs:
-            ctx_chain = max(ctx_chain, s.max_chain)
-            ctx_proxy = max(ctx_proxy, s.max_proxy)
-            ctx_reflist = max(ctx_reflist, s.max_reflist)
-        self._snaps.append((ctx_chain, suffix, ctx_proxy, ctx_reflist))
+            pending += s.pending
+            chain = max(chain, s.max_chain)
+            proxy = max(proxy, s.max_proxy)
+            reflist = max(reflist, s.max_reflist)
+        self._frames.append((stored, pending, chain, suffix, proxy, reflist))
 
     def pop(self, frame: Frame, child: Term, rebuilt: Term) -> None:
-        for keys in frame._meter_keys:
+        for keys in self._frames.pop()[0]:
             self._sub(keys)
         self._sub(measures(child).tkeys)
         self._add(measures(rebuilt).tkeys)
-        self._pending_ctx -= frame._meter_pending
-        self._snaps.pop()
 
-    def replace(self, old: Term, new: Term) -> None:
+    def step(self, rule: str, ctx: Context, old: Term, new: Term) -> None:
         self._sub(measures(old).tkeys)
         self._add(measures(new).tkeys)
-
-    def record(self, rule: str, focus: Term) -> None:
-        stats = self._snapshot(focus)
+        stats = self._snapshot(new)
         self.max = self.max.join(stats)
         if self.series is not None:
             self.series.append((rule, stats))
 
     def _snapshot(self, focus: Term) -> SpaceStats:
-        top = self._snaps[-1] if self._snaps else (0, 0, 0, 0)
+        _, pending, chain, suffix, proxy, reflist = self._frames[-1] if self._frames else _NO_FRAME
         m = measures(focus)
-        pending = self._pending_ctx + m.pending
-        chain = max(top[0], top[1] + m.top_chain, m.max_chain)
-        proxy = max(top[2], m.max_proxy, (top[1] + m.top_proxy) if m.top_proxy >= 0 else 0)
-        reflist = max(top[3], m.max_reflist)
-        return SpaceStats(pending, chain, reflist, proxy, self._distinct)
+        return SpaceStats(
+            pending + m.pending,
+            max(chain, suffix + m.top_chain, m.max_chain),
+            max(reflist, m.max_reflist),
+            max(proxy, m.max_proxy, (suffix + m.top_proxy) if m.top_proxy >= 0 else 0),
+            self._distinct,
+        )
 
 
 def eval_metered(
@@ -261,18 +265,8 @@ def eval_metered(
 
     meter = Meter(series=series)
     mach = mach or machine(mode)
-    outcome = mach.eval(e, budget, meter=meter)
+    outcome = mach.eval(e, budget, observer=meter)
     return outcome, meter.max, meter.series
-
-
-SERIES_FIELDS = ("step", "rule", "pending", "chain", "max_reflist", "proxy_wrap", "live_types")
-
-
-def write_series_csv(series: list[tuple[str, SpaceStats]], out: IO[str]) -> None:
-    writer = csv.writer(out)
-    writer.writerow(SERIES_FIELDS)
-    for i, (rule, stats) in enumerate(series, start=1):
-        writer.writerow([i, rule, stats.pending, stats.chain, stats.max_reflist, stats.proxy_wrap, stats.live_types])
 
 
 def series_json(series: list[tuple[str, SpaceStats]]) -> list[dict]:

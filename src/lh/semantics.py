@@ -8,20 +8,29 @@ eidetic compiles casts to coercions and drains them on a stack.
 the root and reports the rule that fired.  `Machine.eval` runs the same rules
 over an explicit evaluation context, so a step costs work proportional to the
 local change instead of a root-to-redex walk.  The context is a persistent
-stack of frames, `(innermost frame, rest)` pairs ending in None, which plain,
-metered and traced runs all share.  A traced run records one `TraceStep` per
-step, holding the step index, the rule, and the context and focus just after
-the step: O(1) work and memory per step, as contexts share their tails.
-`TraceStep.term` plugs the focus back into the context when it is read, in
-O(depth), and gives the same term, with the same shared nodes, as rebuilding
-it at the step would.  An optional meter observes every push, pop and step
-for space accounting.
+stack of frames, `(innermost frame, rest)` pairs ending in None.  A `Frame`
+is a node with a hole at one child; it reads and rebuilds the node through
+the shape table of `syntax` (`children`, `with_child`).
+
+A traced run records one `TraceStep` per step, holding the step index, the
+rule, and the context and focus just after the step: O(1) work and memory per
+step, as contexts share their tails.  `TraceStep.term` plugs the focus back
+into the context when it is read, in O(depth), and gives the same term, with
+the same shared nodes, as rebuilding it at the step would.
+
+An observer passed to `Machine.eval` sees every transition as four events:
+`start(root)` once; `push(frame, child)` after descending from the frame's
+node to its child; `step(rule, ctx, old, new)` when the focus `old` steps to
+`new` under context `ctx`; and `pop(frame, child, rebuilt)` when the focus
+`child` is plugged back into the frame, giving `rebuilt`.  Pushes and pops
+nest, and a run that ends in a value or blame pops every frame it pushed.
+`metering.Meter` is one such observer.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .surface import print_type
@@ -56,7 +65,9 @@ from .syntax import (
     Var,
     alpha_eq,
     canon,
+    children,
     subst,
+    with_child,
 )
 
 INT_MIN = -(2**63)
@@ -362,101 +373,34 @@ class Outcome:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation frames (one per congruence rule)
+# Evaluation frames
 
 
-@dataclass
-class FAppL:
-    orig: App
+class Frame:
+    """A node with a hole at its `index`-th child (in `children` order), which
+    held `hole` when the machine descended into it."""
 
-    def rebuild(self, child: Term) -> Term:
-        return self.orig if child is self.orig.fn else App(child, self.orig.arg)
+    __slots__ = ("orig", "index", "hole")
 
-
-@dataclass
-class FAppR:
-    orig: App
-
-    def rebuild(self, child: Term) -> Term:
-        return self.orig if child is self.orig.arg else App(self.orig.fn, child)
-
-
-@dataclass
-class FOp:
-    orig: Op
-    index: int
+    def __init__(self, orig: Term, index: int, hole: Term):
+        self.orig = orig
+        self.index = index
+        self.hole = hole
 
     def rebuild(self, child: Term) -> Term:
-        if child is self.orig.args[self.index]:
-            return self.orig
-        args = list(self.orig.args)
-        args[self.index] = child
-        return Op(self.orig.name, tuple(args))
+        return self.orig if child is self.hole else with_child(self.orig, self.index, child)
 
+    def siblings(self) -> tuple[Term, ...]:
+        """The node's children other than the hole."""
 
-@dataclass
-class FCond:
-    orig: Cond
+        kids = children(self.orig)
+        return kids[: self.index] + kids[self.index + 1 :]
 
-    def rebuild(self, child: Term) -> Term:
-        return self.orig if child is self.orig.guard else Cond(child, self.orig.then, self.orig.orelse)
-
-
-@dataclass
-class FCastSub:
-    orig: Cast
-
-    def rebuild(self, child: Term) -> Term:
-        if child is self.orig.subject:
-            return self.orig
-        c = self.orig
-        return Cast(c.src, c.ann, c.tgt, c.label, child)
-
-
-@dataclass
-class FCheck:
-    orig: ActiveCheck
-
-    def rebuild(self, child: Term) -> Term:
-        if child is self.orig.current:
-            return self.orig
-        c = self.orig
-        return ActiveCheck(c.tgt, child, c.scrutinee, c.label)
-
-
-@dataclass
-class FStack:
-    orig: CoercionStack
-
-    def rebuild(self, child: Term) -> Term:
-        if child is self.orig.current:
-            return self.orig
-        c = self.orig
-        return CoercionStack(c.tgt, c.status, c.pending, c.scrutinee, child)
-
-
-Frame = Union[FAppL, FAppR, FOp, FCond, FCastSub, FCheck, FStack]
 
 # An evaluation context as a persistent stack: None is the empty context and
 # (frame, rest) has `frame` innermost.  Nothing is updated in place, so a
 # context recorded in a trace stays valid while the machine runs on.
 Context = Optional[tuple[Frame, "Context"]]
-
-
-def frame_siblings(frame: Frame) -> tuple[Term, ...]:
-    """Term children of the frame's node other than the hole."""
-
-    if isinstance(frame, FAppL):
-        return (frame.orig.arg,)
-    if isinstance(frame, FAppR):
-        return (frame.orig.fn,)
-    if isinstance(frame, FOp):
-        return tuple(a for i, a in enumerate(frame.orig.args) if i != frame.index)
-    if isinstance(frame, FCond):
-        return (frame.orig.then, frame.orig.orelse)
-    if isinstance(frame, FCastSub):
-        return ()
-    return (frame.orig.scrutinee,)
 
 
 # Local decisions, shared by the reference stepper and the machine.
@@ -466,16 +410,6 @@ _STEP = "step"
 _VALUE = "value"
 _BLAME = "blame"
 _STUCK = "stuck"
-
-_RAISE_RULE = {
-    FAppL: "E-AppRaiseL",
-    FAppR: "E-AppRaiseR",
-    FOp: "E-OpRaise",
-    FCond: "E-IfRaise",
-    FCastSub: "E-CastRaise",
-    FCheck: "E-CheckRaise",
-    FStack: "E-StackRaise",
-}
 
 
 class Machine:
@@ -532,11 +466,11 @@ class Machine:
             if isinstance(e.fn, Blame):
                 return (_STEP, Blame(e.fn.label), "E-AppRaiseL")
             if not self.is_value(e.fn):
-                return (_DESCEND, FAppL(e), e.fn)
+                return (_DESCEND, Frame(e, 0, e.fn))
             if isinstance(e.arg, Blame):
                 return (_STEP, Blame(e.arg.label), "E-AppRaiseR")
             if not self.is_value(e.arg):
-                return (_DESCEND, FAppR(e), e.arg)
+                return (_DESCEND, Frame(e, 1, e.arg))
             if isinstance(e.fn, Abs):
                 return (_STEP, subst(e.fn.body, e.fn.binder, e.arg), "E-Beta")
             if isinstance(e.fn, Cast):
@@ -547,7 +481,7 @@ class Machine:
                 if isinstance(arg, Blame):
                     return (_STEP, Blame(arg.label), "E-OpRaise")
                 if not self.is_value(arg):
-                    return (_DESCEND, FOp(e, i), arg)
+                    return (_DESCEND, Frame(e, i, arg))
             if not all(isinstance(a, Const) for a in e.args):
                 return (_STUCK, f"operation {e.name!r} applied to a non-constant")
             try:
@@ -560,7 +494,7 @@ class Machine:
             if isinstance(e.guard, Blame):
                 return (_STEP, Blame(e.guard.label), "E-IfRaise")
             if not self.is_value(e.guard):
-                return (_DESCEND, FCond(e), e.guard)
+                return (_DESCEND, Frame(e, 0, e.guard))
             if isinstance(e.guard, Const) and e.guard.value is True:
                 return (_STEP, e.then, "E-IfTrue")
             if isinstance(e.guard, Const) and e.guard.value is False:
@@ -577,7 +511,7 @@ class Machine:
             if isinstance(cur, Blame):
                 return (_STEP, Blame(cur.label), "E-CheckRaise")
             if not self.is_value(cur):
-                return (_DESCEND, FCheck(e), cur)
+                return (_DESCEND, Frame(e, 0, cur))
             return (_STUCK, "active check reduced to a non-boolean value")
         if isinstance(e, CoercionStack):
             cur = e.current
@@ -588,7 +522,7 @@ class Machine:
                     return (_STEP, self._stack_pop(e), "E-StackPop")
                 return (_STEP, cur, "E-StackDone")
             if not self.is_value(cur):
-                return (_DESCEND, FStack(e), cur)
+                return (_DESCEND, Frame(e, 0, cur))
             return (_STUCK, "coercion stack reduced to a non-constant value")
         return (_STUCK, f"unknown term {type(e).__name__}")
 
@@ -614,7 +548,7 @@ class Machine:
                 return (_STEP, Cast(inner.src, merged, e.tgt, e.label, inner.subject), "E-CastMergeE")
         # 4. otherwise step the subject
         if not self.is_value(e.subject):
-            return (_DESCEND, FCastSub(e), e.subject)
+            return (_DESCEND, Frame(e, 0, e.subject))
         # 5. subject is a value: check, stack, or stand as a proxy
         return self._cast_on_value(e)
 
@@ -682,56 +616,58 @@ class Machine:
             return Stuck(act[1])
         if tag == _STEP:
             return Stepped(act[1], act[2])
-        # descend: step the child, then either rebuild or fire the raise rule
-        frame, child = act[1], act[2]
-        inner = self.step(child)
+        # descend: step the child and plug the result back in.  The child is
+        # never blame: each node raises blame out of a child itself.
+        frame = act[1]
+        inner = self.step(frame.hole)
         if isinstance(inner, Stepped):
             return Stepped(frame.rebuild(inner.term), inner.rule)
-        if isinstance(inner, IsBlame):
-            return Stepped(frame.rebuild(Blame(inner.label)), _RAISE_RULE[type(frame)])
         if isinstance(inner, Stuck):
             return inner
-        raise AssertionError("descend target was a value")
+        raise AssertionError("descend target was a value or blame")
 
     # -- machine evaluation
 
-    def eval(self, e: Term, budget: int, trace: bool = False, meter=None) -> Outcome:
+    def eval(self, e: Term, budget: int, trace: bool = False, observer=None) -> Outcome:
+        """Run e for at most `budget` steps.  `trace` records a `TraceStep`
+        per step; `observer`, if given, sees every transition (see the
+        module docstring)."""
+
         ctx: Context = None
         focus = e
         steps = 0
         recorded: Optional[list[TraceStep]] = [] if trace else None
-        if meter is not None:
-            meter.init(focus)
+        if observer is not None:
+            observer.start(focus)
         while True:
             act = self._local(focus)
             tag = act[0]
             if tag == _DESCEND:
-                frame, focus = act[1], act[2]
+                frame = act[1]
+                focus = frame.hole
                 ctx = (frame, ctx)
-                if meter is not None:
-                    meter.push(frame, focus)
+                if observer is not None:
+                    observer.push(frame, focus)
                 continue
             if tag == _STEP:
                 if steps >= budget:
                     break
                 new, rule = act[1], act[2]
-                if meter is not None:
-                    meter.replace(focus, new)
+                if observer is not None:
+                    observer.step(rule, ctx, focus, new)
                 focus = new
                 steps += 1
-                if meter is not None:
-                    meter.record(rule, focus)
                 if recorded is not None:
                     recorded.append(TraceStep(steps, rule, ctx, focus))
-                if ctx is None or not isinstance(ctx[0], FCastSub):
+                if ctx is None or not isinstance(ctx[0].orig, Cast):
                     continue
                 # the parent cast may now be able to merge or raise: pop it
             elif tag == _STUCK or ctx is None:
                 break  # stuck, or a value or blame with no context left
             frame, ctx = ctx  # pop: plug the focus back into its frame
             rebuilt = frame.rebuild(focus)
-            if meter is not None:
-                meter.pop(frame, focus, rebuilt)
+            if observer is not None:
+                observer.pop(frame, focus, rebuilt)
             focus = rebuilt
 
         common = dict(steps=steps, initial=e, trace=None if recorded is None else tuple(recorded))

@@ -5,11 +5,13 @@ Terms, types, cast annotations, coercions and the structural measures
 are immutable after construction and safe to share between threads.
 
 Term shape is written down once, here: `children(e)` lists a term node's
-immediate subterms, `subterms(e)` walks all of them on an explicit stack, and
+immediate subterms, `with_child(e, i, c)` rebuilds e with c as its i-th
+child, `subterms(e)` walks all of them on an explicit stack, and
 `held_types(e)` lists the types the node holds itself, split into those that
 count with their structural parts and refinement-list entries that count
 alone.  That split decides `types(e)`, the set of types no reduction step may
-grow.  `metering` and `harness` read the term shape only through these.
+grow.  `semantics`, `metering` and `harness` read the term shape only
+through these.
 
 `free_vars` and `canon` cache their result on every node they visit;
 `type_keys` only on the node it is asked about, that is on shared type nodes
@@ -302,6 +304,30 @@ def children(e: Term) -> tuple[Term, ...]:
     if isinstance(e, Cond):
         return (e.guard, e.then, e.orelse)
     raise TypeError(f"children: not a term: {e!r}")
+
+
+def with_child(e: Term, i: int, child: Term) -> Term:
+    """A copy of e whose i-th child, in `children` order, is child."""
+
+    if isinstance(e, Cast):
+        return Cast(e.src, e.ann, e.tgt, e.label, child)
+    if isinstance(e, App):
+        return App(child, e.arg) if i == 0 else App(e.fn, child)
+    if isinstance(e, (Op, Cond)):
+        kids = list(children(e))
+        kids[i] = child
+        return Op(e.name, tuple(kids)) if isinstance(e, Op) else Cond(*kids)
+    if isinstance(e, ActiveCheck):
+        if i == 0:
+            return ActiveCheck(e.tgt, child, e.scrutinee, e.label)
+        return ActiveCheck(e.tgt, e.current, child, e.label)
+    if isinstance(e, CoercionStack):
+        if i == 0:
+            return CoercionStack(e.tgt, e.status, e.pending, e.scrutinee, child)
+        return CoercionStack(e.tgt, e.status, e.pending, child, e.current)
+    if isinstance(e, (Abs, Fix)):
+        return type(e)(e.binder, e.annot, child)
+    raise TypeError(f"with_child: {type(e).__name__} has no child {i}")
 
 
 def subterms(e: Term) -> Iterator[Term]:

@@ -93,21 +93,6 @@ def test_run_json_with_trace_and_space(capsys):
     assert payload["space"]["max"]["chain"] == 3
 
 
-def test_run_series_csv(tmp_path, capsys):
-    out_csv = tmp_path / "series.csv"
-    code, _ = run_cli(capsys, "run", TRIPLE, "--mode", "classic", "--space", "--series", str(out_csv))
-    lines = out_csv.read_text().strip().splitlines()
-    assert lines[0] == "step,rule,pending,chain,max_reflist,proxy_wrap,live_types"
-    assert len(lines) > 1
-
-
-def test_series_without_space_is_an_input_error(tmp_path, capsys):
-    out_csv = tmp_path / "series.csv"
-    assert main(["run", TRIPLE, "--series", str(out_csv)]) == 2
-    assert capsys.readouterr().err.strip() == "error: --series needs --space"
-    assert not out_csv.exists()
-
-
 def test_diff_command(capsys):
     code, out = run_cli(capsys, "diff", TRIPLE)
     payload = json.loads(out)

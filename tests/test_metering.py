@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 
 import pytest
@@ -9,14 +7,12 @@ from conftest import load_example
 from lh import eval_term
 from lh.harness import gen_source
 from lh.metering import (
-    SERIES_FIELDS,
     SpaceStats,
     ZERO_STATS,
     eval_metered,
     measures,
     series_json,
     space_stats,
-    write_series_csv,
 )
 from lh.semantics import OutcomeKind
 from lh.surface import parse
@@ -129,13 +125,8 @@ def test_factorial_space_signature():
     assert classic[1] > classic[0]
 
 
-def test_series_csv_and_json(e3):
+def test_series_json(e3):
     _, _, series = eval_metered(Mode.EIDETIC, e3, 100, series=True)
-    buf = io.StringIO()
-    write_series_csv(series, buf)
-    rows = list(csv.reader(io.StringIO(buf.getvalue())))
-    assert rows[0] == list(SERIES_FIELDS)
-    assert len(rows) == len(series) + 1
     data = series_json(series)
     assert data[0]["step"] == 1 and "pending" in data[0]
     json.dumps(data)  # serializable

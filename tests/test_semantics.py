@@ -283,7 +283,7 @@ loop 8 (-100)
 
 
 def _assert_agrees_with_reference(mode, e):
-    """Recursive programs reach deep contexts and long runs of FCastSub
+    """Recursive programs reach deep contexts and long runs of cast-frame
     pops, which gen_source never builds."""
 
     out = eval_term(mode, e, 100_000, trace=True)
@@ -319,19 +319,56 @@ def test_tracing_rebuilds_no_more_than_plain_eval(monkeypatch):
     # recording a step must not plug the focus back into the whole context:
     # each read of a step's term does that, not the machine
     calls = [0]
-    for cls in (semantics.FAppL, semantics.FAppR, semantics.FOp, semantics.FCond,
-                semantics.FCastSub, semantics.FCheck, semantics.FStack):
-        def counted(self, child, _rebuild=cls.rebuild):
-            calls[0] += 1
-            return _rebuild(self, child)
 
-        monkeypatch.setattr(cls, "rebuild", counted)
+    def counted(self, child, _rebuild=semantics.Frame.rebuild):
+        calls[0] += 1
+        return _rebuild(self, child)
+
+    monkeypatch.setattr(semantics.Frame, "rebuild", counted)
     e = _fact(200)
     plain = eval_term(Mode.CLASSIC, e, 100_000)
     plain_calls, calls[0] = calls[0], 0
     traced = eval_term(Mode.CLASSIC, e, 100_000, trace=True)
     assert traced.steps == plain.steps > 2_000 and len(traced.trace) == traced.steps
     assert plain_calls > 0 and calls[0] <= plain_calls
+
+
+class _CountingObserver:
+    def __init__(self):
+        self.root = None
+        self.frames = []
+        self.pushes = self.pops = 0
+        self.rules = []
+
+    def start(self, root):
+        self.root = root
+
+    def push(self, frame, child):
+        assert child is frame.hole
+        self.frames.append(frame)
+        self.pushes += 1
+
+    def pop(self, frame, child, rebuilt):
+        assert self.frames.pop() is frame
+        assert (rebuilt is frame.orig) == (child is frame.hole)
+        self.pops += 1
+
+    def step(self, rule, ctx, old, new):
+        self.rules.append(rule)
+
+
+def test_observer_sees_every_transition():
+    programs = [load_example("triple.lh"), load_example("fact.lh")]
+    programs += [gen_source(seed, 4 + seed % 20) for seed in range(20)]
+    for e in programs:
+        for mode in ALL_MODES:
+            obs = _CountingObserver()
+            out = machine(mode).eval(e, 100_000, trace=True, observer=obs)
+            assert obs.root is e
+            assert len(obs.rules) == out.steps
+            assert obs.rules == [s.rule for s in out.trace]
+            if out.kind in (OutcomeKind.VALUE, OutcomeKind.BLAME):
+                assert obs.pushes == obs.pops and not obs.frames
 
 
 def test_determinism_rerun_identical(e3):

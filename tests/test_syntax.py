@@ -1,4 +1,9 @@
+import dataclasses
+
+from conftest import load_example
+from lh.harness import gen_source
 from lh.metering import space_stats
+from lh.semantics import machine
 from lh.surface import parse, parse_type, print_term
 from lh.syntax import (
     Abs,
@@ -13,14 +18,18 @@ from lh.syntax import (
     Var,
     alpha_eq,
     canon,
+    children,
     free_vars,
     height,
     is_raw,
+    Mode,
     raw,
     subst,
+    subterms,
     term_size,
     type_keys,
     types_of,
+    with_child,
 )
 
 RAW_INT = raw(BaseType.INT)
@@ -108,3 +117,26 @@ def test_structural_folds_handle_deep_terms():
     assert term_size(e) == 3 * 5_000 + 1
     stats = space_stats(e)
     assert stats.pending == 5_000 and stats.live_types == 2
+
+
+def test_with_child_replaces_one_child_and_keeps_the_rest():
+    fact = load_example("fact.lh")
+    roots = [fact] + [gen_source(seed, 20) for seed in range(20)]
+    # runtime forms (active checks, coercion stacks) occur only in traces
+    roots += machine(Mode.EIDETIC).eval(fact, 100_000, trace=True).trace_terms()
+    roots += machine(Mode.HEEDFUL).eval(fact, 100_000, trace=True).trace_terms()
+    nodes = {id(n): n for root in roots for n in subterms(root) if children(n)}
+    kinds = set()
+    for e in nodes.values():
+        kids = children(e)
+        own = [f.name for f in dataclasses.fields(e) if f.name != "args" and getattr(e, f.name) not in kids]
+        for i in range(len(kids)):
+            c = Const(7)
+            new = with_child(e, i, c)
+            assert type(new) is type(e)
+            new_kids = children(new)
+            assert new_kids[i] is c
+            assert all(new_kids[j] is k for j, k in enumerate(kids) if j != i)
+            assert all(getattr(new, f) is getattr(e, f) for f in own)
+        kinds.add(type(e).__name__)
+    assert kinds == {"Abs", "App", "Op", "Cast", "Cond", "Fix", "ActiveCheck", "CoercionStack"}
