@@ -1,8 +1,8 @@
 """Command-line driver: check, run, diff and fuzz over `.lh` files.
 
 Exit codes: 0 value, 1 blame, 2 the input could not be read, parsed or typed
-(a program file, or the --axioms file and its --oracle), 3 stuck, 4 budget
-exceeded.  A standard output closed by its reader (as by `| head`) ends the
+(a program file, or the --axioms file and its --oracle) or a number option is
+out of range, 3 stuck, 4 budget exceeded.  A standard output closed by its reader (as by `| head`) ends the
 command quietly with exit code 1.  The LH_BUDGET environment variable
 overrides the default step budget when --budget is not given.
 """
@@ -56,9 +56,10 @@ class RunConfig:
     axioms: Optional[str] = None
 
 
-def _default_budget() -> int:
-    env = os.environ.get("LH_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+def _non_negative(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
 
 
 def _load_oracle(config: RunConfig) -> ImplicationOracle:
@@ -221,6 +222,9 @@ def cmd_diff(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if not 1 <= args.min_size <= args.size:
+        print(f"error: need 1 <= --min-size <= --size, got {args.min_size} and {args.size}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     report = run_fuzz(
         count=args.count,
         min_size=args.min_size,
@@ -251,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="evaluate a program under one mode")
     p.add_argument("file")
     p.add_argument("--mode", default="eidetic", help="classic|forgetful|heedful|eidetic (or c|f|h|e)")
-    p.add_argument("--budget", type=int, default=_default_budget())
+    # argparse converts a string default only for the subcommand in use
+    p.add_argument("--budget", type=_non_negative, default=os.environ.get("LH_BUDGET") or DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.add_argument("--runtime-forms", action="store_true", help="skip the source-program check")
     p.add_argument("--trace", action="store_true")
@@ -263,15 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diff", help="compare all four modes on one program")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_non_negative, default=10_000)
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("fuzz", help="differential-test generated programs")
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_non_negative, default=1000)
     p.add_argument("--size", type=int, default=30, help="maximum program size")
     p.add_argument("--min-size", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_non_negative, default=10_000)
     p.add_argument("--check-traces", action="store_true")
     p.add_argument("--out", help="write the JSON report to a file")
     p.set_defaults(fn=cmd_fuzz)

@@ -63,7 +63,6 @@ class Measures(NamedTuple):
     """Per-node cached aggregate; `top_proxy` is -1 when the node's root is not
     a cast chain ending on a lambda."""
 
-    size: int
     pending: int
     top_chain: int
     max_chain: int
@@ -127,8 +126,7 @@ def _combine(e: Term) -> Measures:
     kids = [getattr(c, "_sm") for c in children(e)]
     own_keys, own_pending, own_reflist = _own(e)
     # one column per field: cheaper than a generator per field
-    sizes, pendings, _, chains, _, proxies, reflists, keys = zip(*kids) if kids else _NO_KIDS
-    size = 1 + sum(sizes)
+    pendings, _, chains, _, proxies, reflists, keys = zip(*kids) if kids else _NO_KIDS
     pending = own_pending + sum(pendings)
     max_chain = max(chains, default=0)
     max_proxy = max(proxies, default=0)
@@ -147,7 +145,7 @@ def _combine(e: Term) -> Measures:
             top_proxy = sub.top_proxy + 1
             max_proxy = max(max_proxy, top_proxy)
 
-    return Measures(size, pending, top_chain, max_chain, top_proxy, max_proxy, max_reflist, tkeys)
+    return Measures(pending, top_chain, max_chain, top_proxy, max_proxy, max_reflist, tkeys)
 
 
 def space_stats(e: Term) -> SpaceStats:

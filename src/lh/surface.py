@@ -50,6 +50,7 @@ from .syntax import (
     Types,
     Var,
     fresh_name,
+    map_parts,
     subst,
 )
 
@@ -356,45 +357,21 @@ def _unshadow(node, env: dict[str, str], used: set[str]):
 
     if isinstance(node, Var):
         return Var(env.get(node.name, node.name))
-    if isinstance(node, (Const, Blame)):
-        return node
-    if isinstance(node, (Abs, Fix)):
-        annot = _unshadow(node.annot, env, used)
-        binder = node.binder
-        if binder in used:
-            binder = fresh_name(binder, frozenset(used) | frozenset(env.values()))
-        used.add(binder)
-        body = _unshadow(node.body, {**env, node.binder: binder}, used)
-        return type(node)(binder, annot, body)
-    if isinstance(node, App):
-        return App(_unshadow(node.fn, env, used), _unshadow(node.arg, env, used))
-    if isinstance(node, Op):
-        return Op(node.name, tuple(_unshadow(a, env, used) for a in node.args))
-    if isinstance(node, Cast):
-        return Cast(
-            _unshadow(node.src, env, used),
-            node.ann,
-            _unshadow(node.tgt, env, used),
-            node.label,
-            _unshadow(node.subject, env, used),
-        )
-    if isinstance(node, Cond):
-        return Cond(
-            _unshadow(node.guard, env, used),
-            _unshadow(node.then, env, used),
-            _unshadow(node.orelse, env, used),
-        )
-    if isinstance(node, Refinement):
-        binder = node.binder
-        if binder in used:
-            binder = fresh_name(binder, frozenset(used) | frozenset(env.values()))
-        pred = _unshadow(node.predicate, {**env, node.binder: binder}, used | {binder})
-        return Refinement(binder, node.base, pred)
-    if isinstance(node, Fun):
-        return Fun(_unshadow(node.dom, env, used), _unshadow(node.cod, env, used))
     if isinstance(node, (ActiveCheck, CoercionStack)):
         raise ParseError("runtime-only form in source program", 1, 1)
-    raise TypeError(f"unshadow: unexpected node {node!r}")
+
+    def scope(binder: str, part):
+        renamed = binder
+        if binder in used:
+            renamed = fresh_name(binder, frozenset(used) | frozenset(env.values()))
+        inner = {**env, binder: renamed}
+        if isinstance(node, Refinement):
+            # a refinement's binder is recorded as used for its own predicate only
+            return renamed, _unshadow(part, inner, used | {renamed})
+        used.add(renamed)
+        return renamed, _unshadow(part, inner, used)
+
+    return map_parts(node, lambda part: _unshadow(part, env, used), scope)
 
 
 # ---------------------------------------------------------------------------

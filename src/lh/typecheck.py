@@ -48,7 +48,6 @@ from .syntax import (
     BaseType,
     Blame,
     Cast,
-    Coerce,
     Coercion,
     CoercionStack,
     Cond,
@@ -56,7 +55,6 @@ from .syntax import (
     EmptyAnn,
     Fix,
     Fun,
-    FunC,
     Mode,
     Op,
     Refinement,

@@ -13,7 +13,6 @@ from lh.harness import (
     diff_modes,
     gen_reflist,
     gen_source,
-    run_fuzz,
 )
 from lh.metering import eval_metered
 from lh.semantics import OutcomeKind, coercion_merge, ref_drop
@@ -34,7 +33,6 @@ from lh.syntax import (
     alpha_eq,
     canon,
 )
-from lh.typecheck import check_source
 
 NAT = parse_type("{x:Int|x >= 0}")
 EVEN = parse_type("{x:Int|x mod 2 = 0}")

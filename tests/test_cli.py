@@ -120,6 +120,34 @@ def test_lh_budget_env(monkeypatch):
     assert args.budget == DEFAULT_BUDGET
 
 
+def test_unusable_budget_or_count_is_an_input_error(monkeypatch, capsys):
+    # a bad LH_BUDGET concerns `run` alone, and exits 2 there, not with a traceback
+    monkeypatch.setenv("LH_BUDGET", "abc")
+    assert run_cli(capsys, "check", TRIPLE) == (0, "{x:Int | x <> 0}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", TRIPLE])
+    assert exc.value.code == 2
+    monkeypatch.delenv("LH_BUDGET")
+    for argv in (
+        ["run", TRIPLE, "--budget", "-1"],
+        ["diff", TRIPLE, "--budget", "x"],
+        ["fuzz", "--budget", "-5"],
+        ["fuzz", "--count", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", [("0", "0"), ("9", "3")])
+def test_fuzz_rejects_unusable_sizes(capsys, sizes):
+    min_size, size = sizes
+    code = main(["fuzz", "--count", "1", "--min-size", min_size, "--size", size])
+    assert code == 2
+    assert "--min-size" in capsys.readouterr().err
+
+
 def test_run_matches_library_eval(capsys):
     from lh import eval_term, parse
     from lh.syntax import Mode

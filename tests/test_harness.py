@@ -3,7 +3,6 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import load_example
 from lh import eval_term, harness

@@ -5,19 +5,16 @@ from conftest import load_example
 from lh import eval_term, semantics
 from lh.harness import gen_source
 from lh.semantics import (
-    DEFAULT_ORACLE,
     IsBlame,
     IsValue,
     OpUndefined,
     OutcomeKind,
     OverflowFault,
     Stepped,
-    Stuck,
     apply_op,
     axiom_oracle,
     choose,
     coerce,
-    coercion_merge,
     machine,
     merge,
     merge_refs,

@@ -1,17 +1,20 @@
 import dataclasses
+import typing
 
 from conftest import load_example
 from lh.harness import gen_source
 from lh.metering import space_stats
 from lh.semantics import machine
-from lh.surface import parse, parse_type, print_term
+from lh.surface import parse, parse_type
 from lh.syntax import (
     Abs,
     App,
     BaseType,
     Cast,
+    CoercionStack,
     Const,
     EMPTY_ANN,
+    Fix,
     Op,
     Refinement,
     TypeSet,
@@ -21,8 +24,11 @@ from lh.syntax import (
     children,
     free_vars,
     height,
+    held_types,
     is_raw,
+    map_parts,
     Mode,
+    Node,
     raw,
     subst,
     subterms,
@@ -33,6 +39,7 @@ from lh.syntax import (
 )
 
 RAW_INT = raw(BaseType.INT)
+NODE_CLASSES = typing.get_args(Node)
 
 
 def test_alpha_eq_renamed_binders():
@@ -140,3 +147,157 @@ def test_with_child_replaces_one_child_and_keeps_the_rest():
             assert all(getattr(new, f) is getattr(e, f) for f in own)
         kinds.add(type(e).__name__)
     assert kinds == {"Abs", "App", "Op", "Cast", "Cond", "Fix", "ActiveCheck", "CoercionStack"}
+
+
+def _direct_parts(node) -> list:
+    """The terms and types directly inside node, found through the dataclass
+    fields of the node and of its annotation, coercion and refinement lists."""
+
+    found = []
+
+    def visit(value):
+        if isinstance(value, NODE_CLASSES):
+            found.append(value)
+        elif isinstance(value, tuple):
+            for item in value:
+                visit(item)
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                visit(getattr(value, f.name))
+
+    for f in dataclasses.fields(node):
+        visit(getattr(node, f.name))
+    return found
+
+
+def test_map_parts_visits_every_direct_part_once():
+    fact = load_example("fact.lh")
+    roots = [fact] + [gen_source(seed, 14) for seed in range(4)]
+    roots += machine(Mode.EIDETIC).eval(fact, 100_000, trace=True).trace_terms()
+    roots += machine(Mode.HEEDFUL).eval(fact, 100_000, trace=True).trace_terms()
+    roots += machine(Mode.CLASSIC).eval(load_example("triple.lh"), 1_000, trace=True).trace_terms()  # blame
+    nodes = {id(n): n for root in roots for n in _all_nodes(root).values() if isinstance(n, NODE_CLASSES)}
+    kinds = set()
+    for node in nodes.values():
+        seen = []
+        copy = map_parts(node, lambda part: seen.append(part) or part)
+        assert sorted(map(id, seen)) == sorted(map(id, _direct_parts(node))), type(node).__name__
+        assert type(copy) is type(node) and canon(copy) == canon(node)
+        kinds.add(type(node))
+    assert kinds == set(NODE_CLASSES)
+
+
+def _rebuild(node, leaf):
+    """node with `leaf` applied to every Const in it, found through the
+    dataclass fields of every node, annotation and coercion: a walk that does
+    not share the part map it checks."""
+
+    if isinstance(node, Const):
+        return leaf(node)
+    if isinstance(node, tuple):
+        return tuple(_rebuild(n, leaf) for n in node)
+    if not dataclasses.is_dataclass(node):
+        return node
+    old = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)}
+    new = {name: _rebuild(value, leaf) for name, value in old.items()}
+    if all(new[name] is old[name] for name in old):
+        return node
+    return dataclasses.replace(node, **new)
+
+
+def _reference_free_vars(node, memo: dict) -> frozenset:
+    """Free variables by their definition, over the dataclass fields of node;
+    memo holds the answers by node id while those nodes are alive."""
+
+    if isinstance(node, Var):
+        return frozenset((node.name,))
+    if isinstance(node, tuple):
+        return frozenset().union(*(_reference_free_vars(n, memo) for n in node))
+    if not dataclasses.is_dataclass(node):
+        return frozenset()
+    if id(node) not in memo:
+        parts = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+        if isinstance(node, (Abs, Fix, Refinement)):
+            # the binder scopes over the last field only
+            inner = _reference_free_vars(parts[-1], memo) - {node.binder}
+            memo[id(node)] = _reference_free_vars(parts[:-1], memo) | inner
+        else:
+            memo[id(node)] = _reference_free_vars(parts, memo)
+    return memo[id(node)]
+
+
+def _all_nodes(node) -> dict:
+    """Every node, annotation and coercion reachable from node through its fields, by id."""
+
+    found, todo = {}, [node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, tuple):
+            todo.extend(n)
+        elif dataclasses.is_dataclass(n) and id(n) not in found:
+            found[id(n)] = n
+            todo.extend(getattr(n, f.name) for f in dataclasses.fields(n))
+    return found
+
+
+def _substitution_corpus():
+    fact = load_example("fact.lh")
+    terms = [fact] + [gen_source(seed, 14) for seed in range(4)]
+    for root in list(terms):
+        for mode in (Mode.HEEDFUL, Mode.EIDETIC):
+            trace = machine(mode).eval(root, 100_000, trace=True).trace_terms()
+            terms += trace[:: max(1, len(trace) // 12)]
+    return terms
+
+
+def test_subst_reaches_every_part():
+    # each constant, wherever it sits (a term position, or a refinement
+    # predicate held by a cast, a heedful type set, an eidetic coercion or a
+    # coercion stack's pending list), is replaced by z and substituted back
+    z = Var("z")
+    places = set()
+    for term in _substitution_corpus():
+        consts, term_nodes = set(), _all_nodes(term)
+        _rebuild(term, lambda n: consts.add((type(n.value), n.value)) or n)
+        for kind, value in consts:
+            hits = []
+
+            def plant(n):
+                if (type(n.value), n.value) == (kind, value):
+                    hits.append(n)
+                    return z
+                return n
+
+            planted = _rebuild(term, plant)
+            assert hits and free_vars(planted) == {"z"}
+            back = subst(planted, "z", Const(value))
+            assert canon(back) == canon(term)
+            memo = {}
+            for key, node in _all_nodes(back).items():
+                if key not in term_nodes and "_fv" in vars(node):
+                    assert node._fv == _reference_free_vars(node, memo), canon(node)
+        for e in subterms(term):
+            whole, alone = held_types(e)
+            if isinstance(e, Cast) and len(whole) > 2:
+                places.add("type set")
+            elif isinstance(e, Cast) and alone:
+                places.add("coercion")
+            elif isinstance(e, CoercionStack) and alone:
+                places.add("pending list")
+            places.add(type(e).__name__)
+    assert {"type set", "coercion", "pending list", "ActiveCheck", "Fix", "Cond"} <= places
+
+
+def test_subst_renames_a_capturing_refinement_binder():
+    # {y:Int | y > x}[x := y] must rename the predicate's binder
+    ref = Refinement("y", BaseType.INT, Op(">", (Var("y"), Var("x"))))
+    out = subst(ref, "x", Var("y"))
+    assert out.binder != "y"
+    assert alpha_eq(out, Refinement("w", BaseType.INT, Op(">", (Var("w"), Var("y")))))
+    # the same, held by a lambda's annotation and by a cast's target
+    lam = Abs("a", ref, Var("x"))
+    out = subst(lam, "x", Var("y"))
+    assert alpha_eq(out, Abs("a", Refinement("w", BaseType.INT, Op(">", (Var("w"), Var("y")))), Var("y")))
+    cast = Cast(RAW_INT, EMPTY_ANN, ref, "l", Var("x"))
+    out = subst(cast, "x", Var("y"))
+    assert free_vars(out) == {"y"} and out.tgt.binder != "y"

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import load_example
-from lh.surface import parse, parse_type, print_type
+from lh.surface import parse, parse_type
 from lh.syntax import (
     ALL_MODES,
     BaseType,
@@ -11,7 +11,6 @@ from lh.syntax import (
     EMPTY_ANN,
     Fun,
     Mode,
-    Op,
     alpha_eq,
     raw,
 )
