@@ -1,7 +1,7 @@
 """A contract calculus with casts, blame, and four cast-bookkeeping modes."""
 
 from .metering import SpaceStats, eval_metered, space_stats
-from .semantics import Machine, Outcome, OutcomeKind, eval_term, machine, step
+from .semantics import Machine, Outcome, OutcomeKind, eval_term, machine
 from .surface import ParseError, parse, print_term, print_type
 from .syntax import ALL_MODES, Mode, Term, Type, alpha_eq
 from .typecheck import TypeCheckError, check_source, type_of
@@ -26,6 +26,5 @@ __all__ = [
     "print_term",
     "print_type",
     "space_stats",
-    "step",
     "type_of",
 ]

@@ -1,8 +1,10 @@
 """Command-line driver: check, run, diff and fuzz over `.lh` files.
 
-Exit codes: 0 value, 1 blame, 2 the input could not be read, parsed or typed
-(a program file, or the --axioms file and its --oracle) or a number option is
-out of range, 3 stuck, 4 budget exceeded.  A standard output closed by its reader (as by `| head`) ends the
+Exit codes of `run`: 0 value, 1 blame, 3 stuck, 4 budget exceeded.  `diff`
+and `fuzz` exit 0 when every check passes and 1 when one fails.  Every
+command exits 2 on an input error: a program or --axioms file that cannot be
+read, parsed or typed, an unwritable --out file, or an option value out of
+range.  A standard output closed by its reader (as by `| head`) ends the
 command quietly with exit code 1.  The LH_BUDGET environment variable
 overrides the default step budget when --budget is not given.
 """
@@ -10,10 +12,10 @@ overrides the default step budget when --budget is not given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .harness import diff_modes, run_fuzz
@@ -41,19 +43,7 @@ EXIT_BUDGET = 4
 
 
 class InputError(Exception):
-    """Command-line input (a program, axioms or oracle) that cannot be read or has the wrong shape."""
-
-
-@dataclass
-class RunConfig:
-    mode: Mode = Mode.EIDETIC
-    budget: int = DEFAULT_BUDGET
-    trace: bool = False
-    space: bool = False
-    json: bool = False
-    choose_policy: str = "lex-min"
-    oracle: str = "alpha-eq"
-    axioms: Optional[str] = None
+    """Command-line input (a program or axioms file) that cannot be read or has the wrong shape."""
 
 
 def _non_negative(text: str) -> int:
@@ -62,36 +52,37 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
-def _load_oracle(config: RunConfig) -> ImplicationOracle:
-    if config.oracle == "alpha-eq":
-        return DEFAULT_ORACLE
-    if config.oracle != "axioms":
-        raise InputError(f"unknown oracle {config.oracle!r}")
-    if not config.axioms:
-        raise InputError("--oracle axioms requires --axioms FILE")
+def _mode(text: str) -> Mode:
     try:
-        with open(config.axioms) as fh:
+        return Mode.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _load_oracle(path: Optional[str]) -> ImplicationOracle:
+    """The oracle of an --axioms file, or alpha-equality without one."""
+
+    if path is None:
+        return DEFAULT_ORACLE
+    try:
+        with open(path) as fh:
             raw_pairs = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read axioms {config.axioms}: {exc}") from exc
+        raise InputError(f"cannot read axioms {path}: {exc}") from exc
     if not isinstance(raw_pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(isinstance(t, str) for t in p) for p in raw_pairs
     ):
-        raise InputError(f"axioms {config.axioms}: expected a JSON list of [type, type] string pairs")
+        raise InputError(f"axioms {path}: expected a JSON list of [type, type] string pairs")
     pairs = []
     for lhs, rhs in raw_pairs:
         try:
             t1, t2 = parse_type(lhs), parse_type(rhs)
         except ParseError as exc:
-            raise InputError(f"axioms {config.axioms}: {exc}") from exc
+            raise InputError(f"axioms {path}: {exc}") from exc
         if not (isinstance(t1, Refinement) and isinstance(t2, Refinement)):
             raise InputError("axioms must relate refinement types")
         pairs.append((t1, t2))
     return axiom_oracle(pairs)
-
-
-def _machine(config: RunConfig) -> Machine:
-    return Machine(config.mode, oracle=_load_oracle(config), choose_policy=config.choose_policy)
 
 
 def _read_program(path: str) -> Term:
@@ -152,61 +143,41 @@ def cmd_check(args) -> int:
     return EXIT_VALUE
 
 
-def run_file(path: str, config: RunConfig, runtime_forms: bool = False) -> int:
+def cmd_run(args) -> int:
     try:
-        term = _read_program(path)
-        if not runtime_forms:
-            check_source(term)
-        mach = _machine(config)
+        term = _read_program(args.file)
+        check_source(term)
+        mach = Machine(args.mode, oracle=_load_oracle(args.axioms), choose_policy=args.choose)
     except _INPUT_ERRORS as exc:
-        if config.json:
+        if args.json:
             print(json.dumps({"error": str(exc)}))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if config.space:
-        meter = Meter(series=True)
-        out = mach.eval(term, config.budget, trace=config.trace, observer=meter)
-        stats, series = meter.max, meter.series
-    else:
-        out = mach.eval(term, config.budget, trace=config.trace)
-        stats, series = None, None
+    meter = Meter(series=True) if args.space else None
+    out = mach.eval(term, args.budget, trace=args.trace, observer=meter)
 
-    if config.json:
+    if args.json:
         payload = {
-            "mode": config.mode.value,
-            "budget": config.budget,
+            "mode": args.mode.value,
+            "budget": args.budget,
             "result": _outcome_dict(out),
         }
-        if config.trace and out.trace is not None:
+        if args.trace:
             payload["trace"] = [
                 {"step": s.index, "rule": s.rule, "term": print_term(s.term)} for s in out.trace
             ]
-        if stats is not None:
-            payload["space"] = {"max": stats.as_dict(), "series": series_json(series)}
+        if meter is not None:
+            payload["space"] = {"max": meter.max.as_dict(), "series": series_json(meter.series)}
         print(json.dumps(payload, indent=2))
     else:
-        if config.trace and out.trace is not None:
+        if args.trace:
             for s in out.trace:
                 print(f"{s.index:6d} {s.rule}")
-        if stats is not None:
-            print("max " + " ".join(f"{k}={v}" for k, v in stats.as_dict().items()))
+        if meter is not None:
+            print("max " + " ".join(f"{k}={v}" for k, v in meter.max.as_dict().items()))
         _print_outcome(out)
     return _outcome_exit(out)
-
-
-def cmd_run(args) -> int:
-    config = RunConfig(
-        mode=Mode.parse(args.mode),
-        budget=args.budget,
-        trace=args.trace,
-        space=args.space,
-        json=args.json,
-        choose_policy=args.choose,
-        oracle=args.oracle,
-        axioms=args.axioms,
-    )
-    return run_file(args.file, config, runtime_forms=args.runtime_forms)
 
 
 def cmd_diff(args) -> int:
@@ -225,21 +196,24 @@ def cmd_fuzz(args) -> int:
     if not 1 <= args.min_size <= args.size:
         print(f"error: need 1 <= --min-size <= --size, got {args.min_size} and {args.size}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    report = run_fuzz(
-        count=args.count,
-        min_size=args.min_size,
-        max_size=args.size,
-        seed=args.seed,
-        budget=args.budget,
-        check_traces=args.check_traces,
-    )
-    text = report.to_json()
+    try:
+        # opened before the fuzz runs, so that an unwritable path costs no run
+        report_file = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    with report_file as fh:
+        report = run_fuzz(
+            count=args.count,
+            min_size=args.min_size,
+            max_size=args.size,
+            seed=args.seed,
+            budget=args.budget,
+            check_traces=args.check_traces,
+        )
+        print(report.to_json(), file=fh)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
         print(f"ok={report.ok} failures={len(report.failures)} report={args.out}")
-    else:
-        print(text)
     return 0 if report.ok else 1
 
 
@@ -254,16 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate a program under one mode")
     p.add_argument("file")
-    p.add_argument("--mode", default="eidetic", help="classic|forgetful|heedful|eidetic (or c|f|h|e)")
+    p.add_argument("--mode", type=_mode, default="eidetic", help="classic|forgetful|heedful|eidetic (or c|f|h|e)")
     # argparse converts a string default only for the subcommand in use
     p.add_argument("--budget", type=_non_negative, default=os.environ.get("LH_BUDGET") or DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--runtime-forms", action="store_true", help="skip the source-program check")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--space", action="store_true")
     p.add_argument("--choose", default="lex-min", choices=sorted(CHOOSE_POLICIES))
-    p.add_argument("--oracle", default="alpha-eq", choices=["alpha-eq", "axioms"])
-    p.add_argument("--axioms", help="JSON file of [source-type, implied-type] pairs")
+    p.add_argument("--axioms", help="JSON file of [source-type, implied-type] pairs (default oracle: alpha-equality)")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("diff", help="compare all four modes on one program")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .semantics import Context, Frame, Machine, Outcome, machine
+from .semantics import Context, Frame, Outcome, machine
 from .syntax import (
     Abs,
     ActiveCheck,
@@ -172,7 +172,6 @@ class Meter:
 
     def __init__(self, series: bool = False):
         self._counts: dict = {}
-        self._distinct = 0
         self._frames: list[tuple] = []
         self.max = ZERO_STATS
         self.series: Optional[list[tuple[str, SpaceStats]]] = [] if series else None
@@ -182,17 +181,13 @@ class Meter:
     def _add(self, keys: frozenset) -> None:
         counts = self._counts
         for k in keys:
-            n = counts.get(k, 0)
-            if n == 0:
-                self._distinct += 1
-            counts[k] = n + 1
+            counts[k] = counts.get(k, 0) + 1
 
     def _sub(self, keys: frozenset) -> None:
         counts = self._counts
         for k in keys:
             n = counts[k] - 1
             if n == 0:
-                self._distinct -= 1
                 del counts[k]
             else:
                 counts[k] = n
@@ -248,7 +243,7 @@ class Meter:
             max(chain, suffix + m.top_chain, m.max_chain),
             max(reflist, m.max_reflist),
             max(proxy, m.max_proxy, (suffix + m.top_proxy) if m.top_proxy >= 0 else 0),
-            self._distinct,
+            len(self._counts),
         )
 
 
@@ -257,13 +252,11 @@ def eval_metered(
     e: Term,
     budget: int = 100_000,
     series: bool = False,
-    mach: Optional[Machine] = None,
 ) -> tuple[Outcome, SpaceStats, Optional[list[tuple[str, SpaceStats]]]]:
     """Run the machine with metering; the outcome is identical to plain eval."""
 
     meter = Meter(series=series)
-    mach = mach or machine(mode)
-    outcome = mach.eval(e, budget, observer=meter)
+    outcome = machine(mode).eval(e, budget, observer=meter)
     return outcome, meter.max, meter.series
 
 

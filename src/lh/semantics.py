@@ -4,13 +4,13 @@ One shared syntax, four semantics: classic checks everything and merges
 nothing, forgetful drops intermediate casts, heedful accumulates type sets,
 eidetic compiles casts to coercions and drains them on a stack.
 
-`step` is the reference stepper: it finds the unique redex by recursion from
-the root and reports the rule that fired.  `Machine.eval` runs the same rules
-over an explicit evaluation context, so a step costs work proportional to the
-local change instead of a root-to-redex walk.  The context is a persistent
-stack of frames, `(innermost frame, rest)` pairs ending in None.  A `Frame`
-is a node with a hole at one child; it reads and rebuilds the node through
-the shape table of `syntax` (`children`, `with_child`).
+`Machine.step` is the reference stepper: it finds the unique redex by recursion
+from the root and reports the rule that fired.  `Machine.eval` runs the same
+rules over an explicit evaluation context, so a step costs work proportional to
+the local change instead of a root-to-redex walk.  The context is a persistent
+stack of frames, `(innermost frame, rest)` pairs ending in None.  A `Frame` is
+a node with a hole at one child; it reads and rebuilds the node through the
+shape table of `syntax` (`children`, `with_child`).
 
 A traced run records one `TraceStep` per step, holding the step index, the
 rule, and the context and focus just after the step: O(1) work and memory per
@@ -277,9 +277,6 @@ def _div(a: int, b: int) -> int:
     return _clamp(a // b)
 
 
-OP_NAMES = tuple(_DENOTATIONS)
-
-
 def apply_op(name: str, args: list[Const]) -> Const:
     """The mathematical denotation; partial exactly where the signature says so."""
 
@@ -447,9 +444,6 @@ class Machine:
             and e.label is None
             and isinstance(e.subject, Abs)
         )
-
-    def is_result(self, e: Term) -> bool:
-        return isinstance(e, Blame) or self.is_value(e)
 
     # -- local dispatch: what happens at this node, ignoring its context
 
@@ -687,10 +681,6 @@ def machine(mode: Mode) -> Machine:
     if mode not in _DEFAULT_MACHINES:
         _DEFAULT_MACHINES[mode] = Machine(mode)
     return _DEFAULT_MACHINES[mode]
-
-
-def step(mode: Mode, e: Term) -> StepOutcome:
-    return machine(mode).step(e)
 
 
 def eval_term(mode: Mode, e: Term, budget: int = 100_000, trace: bool = False) -> Outcome:

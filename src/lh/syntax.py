@@ -13,16 +13,16 @@ alone.  That split decides `types(e)`, the set of types no reduction step may
 grow.  `semantics`, `metering` and `harness` read the term shape only
 through these.
 
-The part map is the other half: `map_parts(node, f)` copies a term or type
-node with f applied to every term and type directly inside it, annotation
-types, heedful type-set members, eidetic coercion refinements and a coercion
-stack's pending refinements included.  `Abs`, `Fix` and `Refinement` bind
-their binder in their last part only.  `subst` and `surface._unshadow` are
-built on the part map, and `free_vars` is a fold over `children` and
-`held_types`.  `children` and `with_child` stay, as the indexed, term-only
-view that the machine, the meter and the trace checker walk on every step;
-the part map rebuilds whole nodes.  `canon` keeps its own walk, since its
-strings fix the printed order of heedful type sets.
+The part map is the other half: `map_parts(node, f, last)` copies a term or
+type node with f applied to every term and type directly inside it,
+annotation types, heedful type-set members, eidetic coercion refinements and
+a coercion stack's pending refinements included.  `Abs`, `Fix` and
+`Refinement` bind their binder in their last part only, which `last` maps.
+`subst` and `surface._unshadow` are built on the part map, and `free_vars` is
+a fold over `children` and `held_types`.  `children` and `with_child` stay,
+as the indexed, term-only view that the machine, the meter and the trace
+checker walk on every step; the part map rebuilds whole nodes.  `canon` keeps
+its own walk, since its strings fix the printed order of heedful type sets.
 
 `free_vars` and `canon` cache their result on every node they visit;
 `type_keys` only on the node it is asked about, that is on shared type nodes
@@ -418,13 +418,13 @@ def _map_ann(ann: Annotation, f) -> Annotation:
 
 
 def _map_refinement(n: Refinement, f, last) -> Refinement:
-    binder, pred = last(n.binder, n.predicate) if last else (n.binder, f(n.predicate))
+    binder, pred = last(n.binder, n.predicate)
     return Refinement(binder, n.base, pred)
 
 
 def _map_abs(n, f, last):
     annot = f(n.annot)  # outside the binder's scope, so mapped first
-    binder, body = last(n.binder, n.body) if last else (n.binder, f(n.body))
+    binder, body = last(n.binder, n.body)
     return type(n)(binder, annot, body)
 
 
@@ -445,11 +445,11 @@ _PARTS = {
 }
 
 
-def map_parts(node: Node, f, last=None) -> Node:
+def map_parts(node: Node, f, last) -> Node:
     """A copy of node with f applied, in field order, to every term and type
-    directly inside it.  At a binder node, `last(binder, part)`, if given,
-    maps the binder's scope (the last part, after the others) instead, and
-    returns the copy's binder and last part.  Leaves are returned as is."""
+    directly inside it.  At a binder node, `last(binder, part)` maps the
+    binder's scope (the last part, after the others) instead, and returns the
+    copy's binder and last part.  Leaves are returned as is."""
 
     return _PARTS[type(node)](node, f, last)
 

@@ -125,20 +125,6 @@ def op_signature(name: str) -> tuple[tuple[Refinement, ...], Refinement]:
     return _OP_SIGS[name]
 
 
-def signatures(name: Union[str, bool, int]) -> Union[Type, BaseType]:
-    """ty(op) as a first-order type, or ty(k) as a base type."""
-
-    if isinstance(name, bool) or name in ("true", "false"):
-        return BaseType.BOOL
-    if isinstance(name, int):
-        return BaseType.INT
-    doms, cod = op_signature(name)
-    t: Type = cod
-    for d in reversed(doms):
-        t = Fun(d, t)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Similarity
 
@@ -511,22 +497,8 @@ class Checker:
 # Entry points
 
 
-def wf_type(mode: Mode, t: Type) -> bool:
-    Checker(mode).wf_type(t)
-    return True
-
-
-def wf_annotation(mode: Mode, ann, t1: Type, t2: Type) -> bool:
-    Checker(mode).wf_annotation(ann, t1, t2)
-    return True
-
-
 def type_of(mode: Mode, env: Mapping[str, Type], e: Term) -> Type:
     return Checker(mode).infer(env, e)
-
-
-def check_at(mode: Mode, env: Mapping[str, Type], e: Term, t: Type) -> None:
-    Checker(mode).check(env, e, t)
 
 
 def check_source(e: Term) -> Type:

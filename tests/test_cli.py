@@ -166,10 +166,13 @@ def test_axiom_oracle_flag(tmp_path, capsys):
         "<{x:Int|x >= 0} => {x:Int|true} @ l2> (<{x:Int|x > 0} => {x:Int|x >= 0} @ l1> "
         "(<{x:Int|true} => {x:Int|x > 0} @ l0> 5))"
     )
-    code, out = run_cli(
-        capsys, "run", str(prog), "--mode", "eidetic", "--oracle", "axioms", "--axioms", str(axioms)
-    )
+    code, out = run_cli(capsys, "run", str(prog), "--mode", "eidetic", "--axioms", str(axioms))
     assert code == 0 and out.strip() == "5"
+    # an unsound axiom lets the merge drop the failing check: the file is in use
+    axioms.write_text(json.dumps([["{x:Int|x >= 0}", "{x:Int|x > 0}"]]))
+    prog.write_text("<{x:Int|x >= 0} => {x:Int|x > 0} @ l1> (<{x:Int|true} => {x:Int|x >= 0} @ l0> 0)")
+    assert run_cli(capsys, "run", str(prog), "--mode", "eidetic") == (1, "blame l1\n")
+    assert run_cli(capsys, "run", str(prog), "--mode", "eidetic", "--axioms", str(axioms)) == (0, "0\n")
 
 
 def test_missing_program_file_is_an_input_error(tmp_path, capsys):
@@ -190,16 +193,25 @@ def test_missing_program_file_is_an_input_error(tmp_path, capsys):
 def test_bad_axioms_file_is_an_input_error(tmp_path, capsys, text):
     axioms = tmp_path / "axioms.json"
     axioms.write_text(text)
-    argv = ["run", TRIPLE, "--oracle", "axioms", "--axioms", str(axioms)]
+    # --axioms alone selects the axiom oracle, so a bad file is never ignored
+    argv = ["run", TRIPLE, "--axioms", str(axioms)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert main(argv + ["--json"]) == 2
     validate(json.loads(capsys.readouterr().out))
 
 
-def test_axioms_oracle_without_file_is_an_input_error(capsys):
-    assert main(["run", TRIPLE, "--oracle", "axioms"]) == 2
-    assert "--axioms" in capsys.readouterr().err
+def test_unknown_mode_is_an_input_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", TRIPLE, "--mode", "bogus"])
+    assert exc.value.code == 2
+    assert "unknown mode: 'bogus'" in capsys.readouterr().err
+
+
+def test_unwritable_fuzz_report_fails_before_fuzzing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_fuzz", lambda **kw: pytest.fail("fuzzed before opening --out"))
+    assert main(["fuzz", "--count", "1", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -180,7 +180,12 @@ def test_map_parts_visits_every_direct_part_once():
     kinds = set()
     for node in nodes.values():
         seen = []
-        copy = map_parts(node, lambda part: seen.append(part) or part)
+
+        def visit(part):
+            seen.append(part)
+            return part
+
+        copy = map_parts(node, visit, lambda binder, part: (binder, visit(part)))
         assert sorted(map(id, seen)) == sorted(map(id, _direct_parts(node))), type(node).__name__
         assert type(copy) is type(node) and canon(copy) == canon(node)
         kinds.add(type(node))

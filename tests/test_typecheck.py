@@ -17,14 +17,10 @@ from lh.syntax import (
 from lh.typecheck import (
     Checker,
     TypeCheckError,
-    check_at,
     check_source,
     op_signature,
-    signatures,
     similar,
     type_of,
-    wf_annotation,
-    wf_type,
 )
 
 ANY = parse_type("{x:Int|true}")
@@ -35,10 +31,10 @@ RAW_BOOL = raw(BaseType.BOOL)
 
 
 def test_signatures():
-    assert signatures(True) is BaseType.BOOL
-    assert signatures(3) is BaseType.INT
-    t = signatures("+")
-    assert isinstance(t, Fun) and alpha_eq(t.cod.cod, ANY)
+    assert alpha_eq(type_of(Mode.CLASSIC, {}, Const(True)), RAW_BOOL)
+    assert alpha_eq(type_of(Mode.CLASSIC, {}, Const(3)), ANY)
+    doms, cod = op_signature("+")
+    assert len(doms) == 2 and alpha_eq(cod, ANY)
     doms, cod = op_signature("div")
     assert alpha_eq(doms[1], NZ)
     with pytest.raises(TypeCheckError):
@@ -53,10 +49,10 @@ def test_similar():
 
 
 def test_wf_type():
-    assert wf_type(Mode.CLASSIC, NAT)
+    Checker(Mode.CLASSIC).wf_type(NAT)
     bad = parse_type("{x:Int| x + 1 }")
     with pytest.raises(TypeCheckError) as exc:
-        wf_type(Mode.CLASSIC, bad)
+        Checker(Mode.CLASSIC).wf_type(bad)
     assert exc.value.kind == "PredicateNotBool"
 
 
@@ -64,23 +60,23 @@ def test_wf_annotation_mode_discipline():
     from lh.semantics import coerce
     from lh.syntax import Coerce, EMPTY_ANN, TypeSet, Types
 
-    assert wf_annotation(Mode.CLASSIC, EMPTY_ANN, ANY, NAT)
+    Checker(Mode.CLASSIC).wf_annotation(EMPTY_ANN, ANY, NAT)
     ts = Types(TypeSet.of([EVEN]))
-    assert wf_annotation(Mode.HEEDFUL, ts, ANY, NAT)
+    Checker(Mode.HEEDFUL).wf_annotation(ts, ANY, NAT)
     with pytest.raises(TypeCheckError):
-        wf_annotation(Mode.CLASSIC, ts, ANY, NAT)
+        Checker(Mode.CLASSIC).wf_annotation(ts, ANY, NAT)
     co = Coerce(coerce(ANY, NAT, "l"))
-    assert wf_annotation(Mode.EIDETIC, co, ANY, NAT)
+    Checker(Mode.EIDETIC).wf_annotation(co, ANY, NAT)
     with pytest.raises(TypeCheckError):
-        wf_annotation(Mode.HEEDFUL, co, ANY, NAT)
+        Checker(Mode.HEEDFUL).wf_annotation(co, ANY, NAT)
     with pytest.raises(TypeCheckError):
-        wf_annotation(Mode.CLASSIC, EMPTY_ANN, ANY, RAW_BOOL)  # dissimilar
+        Checker(Mode.CLASSIC).wf_annotation(EMPTY_ANN, ANY, RAW_BOOL)  # dissimilar
 
 
 def test_const_against_refinement_runs_the_predicate():
-    check_at(Mode.CLASSIC, {}, Const(4), EVEN)
+    Checker(Mode.CLASSIC).check({}, Const(4), EVEN)
     with pytest.raises(TypeCheckError):
-        check_at(Mode.CLASSIC, {}, Const(3), EVEN)
+        Checker(Mode.CLASSIC).check({}, Const(3), EVEN)
 
 
 def test_source_discipline_rejects_refined_constants():
@@ -99,8 +95,8 @@ def test_source_discipline_rejects_runtime_forms():
 
 
 def test_blame_checks_at_any_type_at_runtime():
-    check_at(Mode.CLASSIC, {}, Blame("l"), NAT)
-    check_at(Mode.CLASSIC, {}, Blame("l"), Fun(ANY, NAT))
+    Checker(Mode.CLASSIC).check({}, Blame("l"), NAT)
+    Checker(Mode.CLASSIC).check({}, Blame("l"), Fun(ANY, NAT))
 
 
 def test_unbound_variable():
@@ -145,7 +141,7 @@ def test_runtime_active_check_typing(e3):
 
     out = eval_term(Mode.CLASSIC, e3, 100, trace=True)
     for term in out.trace_terms():
-        check_at(Mode.CLASSIC, {}, term, NZ)
+        Checker(Mode.CLASSIC).check({}, term, NZ)
 
 
 def test_runtime_stack_typing(e3):
@@ -153,7 +149,7 @@ def test_runtime_stack_typing(e3):
 
     out = eval_term(Mode.EIDETIC, e3, 100, trace=True)
     for term in out.trace_terms():
-        check_at(Mode.EIDETIC, {}, term, NZ)
+        Checker(Mode.EIDETIC).check({}, term, NZ)
 
 
 def test_corrupted_stack_rejected(e3):
@@ -165,13 +161,13 @@ def test_corrupted_stack_rejected(e3):
     # an unchecked stack whose pending list no longer covers the target
     wrong = CoercionStack(stack.tgt, stack.status, (), stack.scrutinee, stack.scrutinee)
     with pytest.raises(TypeCheckError):
-        check_at(Mode.EIDETIC, {}, wrong, NZ)
+        Checker(Mode.EIDETIC).check({}, wrong, NZ)
     # a checked stack whose scrutinee fails the target predicate
     from lh.syntax import Status
 
     wrong2 = CoercionStack(stack.tgt, Status.CHECKED, (), Const(0), Const(0))
     with pytest.raises(TypeCheckError):
-        check_at(Mode.EIDETIC, {}, wrong2, NZ)
+        Checker(Mode.EIDETIC).check({}, wrong2, NZ)
 
 
 def test_budget_order_does_not_change_the_verdict():
