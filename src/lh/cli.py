@@ -80,7 +80,7 @@ def _load_oracle(path: Optional[str]) -> ImplicationOracle:
         except ParseError as exc:
             raise InputError(f"axioms {path}: {exc}") from exc
         if not (isinstance(t1, Refinement) and isinstance(t2, Refinement)):
-            raise InputError("axioms must relate refinement types")
+            raise InputError(f"axioms {path}: a pair must relate two refinement types")
         pairs.append((t1, t2))
     return axiom_oracle(pairs)
 

@@ -3,6 +3,20 @@
 `space_stats` measures a term in one traversal.  `eval_metered` keeps the
 same five counters up to date incrementally while the machine runs, so the
 per-step cost stays proportional to the local change, not the term size.
+
+`measures(e)` caches a `Measures` on every node it visits, and `syntax.subst`
+carries it over when it puts a constant in, so a beta step does not measure
+the body again.
+
+A `Meter` keeps one summary per frame of the machine's context, covering the
+term outside that frame's hole: its type keys, as a set, pending checks,
+longest cast chain, cast chain ending at the hole, deepest proxy and longest
+refinement list.  A push extends the parent's summary by the frame's node and
+its other children.  Nothing outside a hole changes while the machine works
+inside it, so a pop only drops the top summary, and a step's stats combine the
+top summary with the new focus's measures.  `live_types` counts distinct
+keys, so the union of the two key sets gives it exactly; a frame that adds no
+key shares its parent's set.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ from .syntax import (
     CoercionStack,
     Mode,
     Refs,
+    HOLDERS,
     Term,
     canon,
     children,
@@ -38,22 +53,10 @@ class SpaceStats:
     live_types: int
 
     def join(self, other: "SpaceStats") -> "SpaceStats":
-        return SpaceStats(
-            max(self.pending, other.pending),
-            max(self.chain, other.chain),
-            max(self.max_reflist, other.max_reflist),
-            max(self.proxy_wrap, other.proxy_wrap),
-            max(self.live_types, other.live_types),
-        )
+        return SpaceStats(*map(max, vars(self).values(), vars(other).values()))
 
     def as_dict(self) -> dict:
-        return {
-            "pending": self.pending,
-            "chain": self.chain,
-            "max_reflist": self.max_reflist,
-            "proxy_wrap": self.proxy_wrap,
-            "live_types": self.live_types,
-        }
+        return dict(vars(self))
 
 
 ZERO_STATS = SpaceStats(0, 0, 0, 0, 0)
@@ -72,15 +75,15 @@ class Measures(NamedTuple):
     tkeys: frozenset
 
 
-_OWN_NONE = (frozenset(), 0, 0)
+_NO_KEYS: frozenset = frozenset()
+# every variable, constant and blame: no children and no held types
+_LEAF = Measures(0, 0, 0, -1, 0, 0, _NO_KEYS)
 
 
 def _own(e: Term) -> tuple[frozenset, int, int]:
-    """(type keys, pending, reflist length) contributed by the node itself, apart from its subterms."""
+    """(type keys, pending, reflist length) a `HOLDERS` node adds to its subterms'."""
 
     whole, alone = held_types(e)
-    if not whole:
-        return _OWN_NONE
     # a node holding one type reuses that type's cached keys
     keys = type_keys(whole[0]) if len(whole) == 1 else frozenset().union(*map(type_keys, whole))
     if alone:
@@ -96,6 +99,14 @@ def _coercion_reflen(c) -> int:
     if isinstance(c, Refs):
         return len(c.entries)
     return max(_coercion_reflen(c.dom), _coercion_reflen(c.cod))
+
+
+def _with_keys(keys: frozenset, more: frozenset) -> frozenset:
+    """keys | more, reusing either set object when it already holds the other."""
+
+    if more <= keys:
+        return keys
+    return more if keys <= more else keys | more
 
 
 def measures(e: Term) -> Measures:
@@ -119,26 +130,32 @@ def measures(e: Term) -> Measures:
     return getattr(e, "_sm")
 
 
-_NO_KIDS = ((),) * len(Measures._fields)
-
-
 def _combine(e: Term) -> Measures:
-    kids = [getattr(c, "_sm") for c in children(e)]
-    own_keys, own_pending, own_reflist = _own(e)
-    # one column per field: cheaper than a generator per field
-    pendings, _, chains, _, proxies, reflists, keys = zip(*kids) if kids else _NO_KIDS
-    pending = own_pending + sum(pendings)
-    max_chain = max(chains, default=0)
-    max_proxy = max(proxies, default=0)
-    max_reflist = max((own_reflist, *reflists))
-    tkeys = own_keys.union(*keys)
+    kids = children(e)
+    if isinstance(e, HOLDERS):
+        tkeys, pending, max_reflist = _own(e)
+    elif kids:
+        tkeys, pending, max_reflist = _NO_KEYS, 0, 0
+    else:
+        return _LEAF
+    max_chain = max_proxy = 0
+    for c in kids:
+        m = c._sm
+        pending += m.pending
+        if m.max_chain > max_chain:
+            max_chain = m.max_chain
+        if m.max_proxy > max_proxy:
+            max_proxy = m.max_proxy
+        if m.max_reflist > max_reflist:
+            max_reflist = m.max_reflist
+        tkeys = _with_keys(tkeys, m.tkeys)
     top_chain = 0
     top_proxy = -1
 
     if isinstance(e, Abs):
         top_proxy = 0
     elif isinstance(e, Cast):
-        sub = kids[0]
+        sub = e.subject._sm
         top_chain = 1 + sub.top_chain
         max_chain = max(max_chain, top_chain)
         if sub.top_proxy >= 0:
@@ -157,11 +174,8 @@ def space_stats(e: Term) -> SpaceStats:
 # Incremental meter
 
 
-# A meter frame: the type keys the frame's node holds outside the hole, then
-# totals over the context down to the hole: pending checks, the longest cast
-# chain, the length of the cast chain that ends at the hole, the deepest proxy
-# and the longest refinement list.
-_NO_FRAME: tuple = ((), 0, 0, 0, 0, 0)
+# the bottom of the stack: the empty context around the root
+_NO_FRAME: tuple = (_NO_KEYS, 0, 0, 0, 0, 0)
 
 
 class Meter:
@@ -171,79 +185,62 @@ class Meter:
     context, so it writes nothing onto frames that a trace may share."""
 
     def __init__(self, series: bool = False):
-        self._counts: dict = {}
-        self._frames: list[tuple] = []
-        self.max = ZERO_STATS
+        self._frames: list[tuple] = [_NO_FRAME]
+        self._peak = (0, 0, 0, 0, 0)
         self.series: Optional[list[tuple[str, SpaceStats]]] = [] if series else None
 
-    # counter plumbing
+    @property
+    def max(self) -> SpaceStats:
+        """The pointwise maximum of the stats of every term seen so far."""
 
-    def _add(self, keys: frozenset) -> None:
-        counts = self._counts
-        for k in keys:
-            counts[k] = counts.get(k, 0) + 1
-
-    def _sub(self, keys: frozenset) -> None:
-        counts = self._counts
-        for k in keys:
-            n = counts[k] - 1
-            if n == 0:
-                del counts[k]
-            else:
-                counts[k] = n
+        return SpaceStats(*self._peak)
 
     # observer events
 
     def start(self, root: Term) -> None:
-        self._add(measures(root).tkeys)
-        self.max = self._snapshot(root)
+        self._peak = self._snapshot(root)
 
     def push(self, frame: Frame, child: Term) -> None:
-        own_keys, own_pending, own_reflist = _own(frame.orig)
-        sibs = [measures(s) for s in frame.siblings()]
-        self._sub(measures(frame.orig).tkeys)
-        stored = [own_keys] + [s.tkeys for s in sibs]
-        for keys in stored:
-            self._add(keys)
-        self._add(measures(child).tkeys)
-
-        _, pending, chain, suffix, proxy, reflist = self._frames[-1] if self._frames else _NO_FRAME
-        if isinstance(frame.orig, Cast):
+        keys, pending, chain, suffix, proxy, reflist = self._frames[-1]
+        orig = frame.orig
+        if isinstance(orig, HOLDERS):
+            own_keys, own_pending, own_reflist = _own(orig)
+            keys = _with_keys(keys, own_keys)
+            pending += own_pending
+            reflist = max(reflist, own_reflist)
+        if isinstance(orig, Cast):
             suffix += 1
         else:
             chain, suffix = max(chain, suffix), 0
-        pending += own_pending
-        reflist = max(reflist, own_reflist)
-        for s in sibs:
-            pending += s.pending
-            chain = max(chain, s.max_chain)
-            proxy = max(proxy, s.max_proxy)
-            reflist = max(reflist, s.max_reflist)
-        self._frames.append((stored, pending, chain, suffix, proxy, reflist))
+        for i, s in enumerate(children(orig)):
+            if i == frame.index:
+                continue
+            m = measures(s)
+            keys = _with_keys(keys, m.tkeys)
+            pending += m.pending
+            chain = max(chain, m.max_chain)
+            proxy = max(proxy, m.max_proxy)
+            reflist = max(reflist, m.max_reflist)
+        self._frames.append((keys, pending, chain, suffix, proxy, reflist))
 
     def pop(self, frame: Frame, child: Term, rebuilt: Term) -> None:
-        for keys in self._frames.pop()[0]:
-            self._sub(keys)
-        self._sub(measures(child).tkeys)
-        self._add(measures(rebuilt).tkeys)
+        self._frames.pop()
 
     def step(self, rule: str, ctx: Context, old: Term, new: Term) -> None:
-        self._sub(measures(old).tkeys)
-        self._add(measures(new).tkeys)
         stats = self._snapshot(new)
-        self.max = self.max.join(stats)
+        self._peak = tuple(map(max, self._peak, stats))
         if self.series is not None:
-            self.series.append((rule, stats))
+            self.series.append((rule, SpaceStats(*stats)))
 
-    def _snapshot(self, focus: Term) -> SpaceStats:
-        _, pending, chain, suffix, proxy, reflist = self._frames[-1] if self._frames else _NO_FRAME
+    def _snapshot(self, focus: Term) -> tuple[int, int, int, int, int]:
+        keys, pending, chain, suffix, proxy, reflist = self._frames[-1]
         m = measures(focus)
-        return SpaceStats(
+        return (
             pending + m.pending,
             max(chain, suffix + m.top_chain, m.max_chain),
             max(reflist, m.max_reflist),
             max(proxy, m.max_proxy, (suffix + m.top_proxy) if m.top_proxy >= 0 else 0),
-            len(self._counts),
+            len(_with_keys(keys, m.tkeys)),
         )
 
 

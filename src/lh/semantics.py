@@ -65,7 +65,6 @@ from .syntax import (
     Var,
     alpha_eq,
     canon,
-    children,
     subst,
     with_child,
 )
@@ -386,12 +385,6 @@ class Frame:
 
     def rebuild(self, child: Term) -> Term:
         return self.orig if child is self.hole else with_child(self.orig, self.index, child)
-
-    def siblings(self) -> tuple[Term, ...]:
-        """The node's children other than the hole."""
-
-        kids = children(self.orig)
-        return kids[: self.index] + kids[self.index + 1 :]
 
 
 # An evaluation context as a persistent stack: None is the empty context and

@@ -39,9 +39,15 @@ plain eval of the depth-300 tail loop in all four modes took 1.18x as long
 (medians of 20 interleaved runs, 2-core VM, Python 3.11): each substitution
 walked again the nodes the last one built.  On generated programs, where a
 substitution's result is seldom substituted into again, the cache costs
-about 1%.  `subst` does not walk a value to
-learn that it is closed; at parse time that would walk every fresh `let`
-body.
+about 1%.  `subst` does not walk a value to learn that it is closed; at
+parse time that would walk every fresh `let` body.
+
+When it puts a constant into a measured term, `subst` also copies the
+measures `metering` cached on each node (`_sm`) onto its copy: a constant
+measures like the variable it replaces.  Every term node of a measured term
+is measured, and types never are.  A type with x free (only a term built
+directly holds one) changes the keys of every node above it, so after an
+unmeasured node none is copied.  Plain eval, measuring nothing, copies none.
 """
 
 from __future__ import annotations
@@ -362,7 +368,7 @@ def subterms(e: Term) -> Iterator[Term]:
         todo.extend(children(node))
 
 
-_HOLDERS = (Abs, Fix, Cast, ActiveCheck, CoercionStack)
+HOLDERS = (Abs, Fix, Cast, ActiveCheck, CoercionStack)
 _HOLDS_NONE: tuple[tuple[Type, ...], tuple[Refinement, ...]] = ((), ())
 
 
@@ -371,7 +377,7 @@ def held_types(e: Term) -> tuple[tuple[Type, ...], tuple[Refinement, ...]]:
     their structural parts (a function type's domain and codomain, the types in
     a refinement's predicate), and refinement-list entries, which count alone."""
 
-    if not isinstance(e, _HOLDERS):
+    if not isinstance(e, HOLDERS):
         return _HOLDS_NONE
     if isinstance(e, Cast):
         ann = e.ann
@@ -515,9 +521,11 @@ def subst(e: Node, x: str, v: Term) -> Node:
 
     if x not in free_vars(e):
         return e
+    carry = isinstance(v, Const) and getattr(e, "_sm", None) is not None
     closed = isinstance(v, Const) or getattr(v, "_fv", None) == _NO_VARS
 
     def go(e):
+        nonlocal carry
         fv = free_vars(e)
         if x not in fv:
             return e
@@ -526,6 +534,8 @@ def subst(e: Node, x: str, v: Term) -> Node:
         out = map_parts(e, go, scope)
         if closed:  # most often fv is {x}, as in a predicate given its constant
             object.__setattr__(out, "_fv", fv - {x} if len(fv) > 1 else _NO_VARS)
+        if carry:  # copy the measures; an unmeasured node, as every type is, ends the copying
+            carry = _cache(out, "_sm", getattr(e, "_sm", None)) is not None
         return out
 
     def scope(binder, part):

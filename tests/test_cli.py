@@ -187,8 +187,13 @@ def test_missing_program_file_is_an_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["[[", json.dumps({"lhs": "{x:Int|true}"}), json.dumps([["{x:Int|x >", "{x:Int|true}"]])],
-    ids=["bad-json", "not-pairs", "bad-type"],
+    [
+        "[[",
+        json.dumps({"lhs": "{x:Int|true}"}),
+        json.dumps([["{x:Int|x >", "{x:Int|true}"]]),
+        json.dumps([["{x:Int|true} -> {x:Int|true}", "{x:Int|true}"]]),
+    ],
+    ids=["bad-json", "not-pairs", "bad-type", "fn-type"],
 )
 def test_bad_axioms_file_is_an_input_error(tmp_path, capsys, text):
     axioms = tmp_path / "axioms.json"
@@ -196,7 +201,8 @@ def test_bad_axioms_file_is_an_input_error(tmp_path, capsys, text):
     # --axioms alone selects the axiom oracle, so a bad file is never ignored
     argv = ["run", TRIPLE, "--axioms", str(axioms)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(axioms) in err
     assert main(argv + ["--json"]) == 2
     validate(json.loads(capsys.readouterr().out))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -15,8 +16,25 @@ from lh.metering import (
     space_stats,
 )
 from lh.semantics import OutcomeKind
-from lh.surface import parse
-from lh.syntax import ALL_MODES, App, Const, Fix, Mode, alpha_eq, type_keys
+from lh.surface import parse, parse_type
+from lh.syntax import (
+    ALL_MODES,
+    EMPTY_ANN,
+    Abs,
+    App,
+    Blame,
+    Cast,
+    Const,
+    Fix,
+    Mode,
+    Op,
+    Var,
+    alpha_eq,
+    map_parts,
+    subst,
+    subterms,
+    type_keys,
+)
 
 
 def test_space_stats_constant():
@@ -51,18 +69,61 @@ def test_join_is_pointwise_max():
     assert a.join(b) == SpaceStats(4, 5, 6, 2, 3)
 
 
-@pytest.mark.parametrize("mode", ALL_MODES, ids=[m.value for m in ALL_MODES])
-def test_meter_matches_direct_stats_on_e3(e3, mode):
-    out, mx, series = eval_metered(mode, e3, 10_000, series=True)
-    traced = eval_term(mode, e3, 10_000, trace=True)
+def assert_meter_matches_trace(mode, e, budget):
+    """Each series entry is the stats of the trace term after its step, and
+    the peak is their join with the initial term's."""
+
+    out, mx, series = eval_metered(mode, e, budget, series=True)
+    traced = eval_term(mode, e, budget, trace=True)
     terms = traced.trace_terms()
     assert len(series) == len(terms) - 1
     acc = space_stats(terms[0])
     for (rule, stats), term, step in zip(series, terms[1:], traced.trace):
         assert rule == step.rule
-        assert stats == space_stats(term), rule
+        assert stats == space_stats(term), (step.index, rule)
         acc = acc.join(stats)
     assert mx == acc
+    return out
+
+
+@pytest.mark.parametrize("mode", ALL_MODES, ids=[m.value for m in ALL_MODES])
+def test_meter_matches_direct_stats_on_e3(e3, mode):
+    assert_meter_matches_trace(mode, e3, 10_000)
+
+
+def _tail_loop(n, acc):
+    """A tail-recursive loop with a cast on the recursive call; the base-case
+    cast blames `lbase` when acc + n (n + 1) / 2 is negative."""
+
+    raw, nat = "{x:Int|true}", "{x:Int|x >= 0}"
+    return parse(
+        f"let rec loop : {raw} -> {raw} -> {nat} = \\n:{raw}. \\acc:{raw}."
+        f" if n = 0 then <{raw} => {nat} @ lbase> acc"
+        f" else <{nat} => {nat} @ lrec> (loop (n - 1) (acc + n));"
+        f" loop {n} ({acc})"
+    )
+
+
+def _fact(n):
+    return App(App(load_example("fact.lh").fn.fn, Const(n)), Const(1))
+
+
+# (program, budget, outcome kind): recursive runs deepen and unwind the
+# context many times, and a run cut off by its budget ends with frames pushed
+RECURSIVE_RUNS = {
+    "fact6": (lambda: _fact(6), 100_000, OutcomeKind.VALUE),
+    "evenodd": (lambda: load_example("evenodd.lh"), 100_000, OutcomeKind.VALUE),
+    "loop-value": (lambda: _tail_loop(8, 3), 100_000, OutcomeKind.VALUE),
+    "loop-blame": (lambda: _tail_loop(8, -100), 100_000, OutcomeKind.BLAME),
+    "fact6-cut": (lambda: _fact(6), 60, OutcomeKind.BUDGET),
+}
+
+
+@pytest.mark.parametrize("mode", ALL_MODES, ids=[m.value for m in ALL_MODES])
+@pytest.mark.parametrize("name", RECURSIVE_RUNS)
+def test_meter_matches_direct_stats_on_recursive_runs(name, mode):
+    build, budget, kind = RECURSIVE_RUNS[name]
+    assert assert_meter_matches_trace(mode, build(), budget).kind is kind
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,3 +197,40 @@ def test_measures_cache_consistency(e3):
     m1 = measures(e3)
     m2 = measures(e3)
     assert m1 is m2
+
+
+def _uncached(node):
+    """A copy of a term or type that shares no node with it, so nothing is cached on it."""
+
+    if isinstance(node, (Var, Const, Blame)):
+        return dataclasses.replace(node)
+    return map_parts(node, _uncached, lambda binder, part: (binder, _uncached(part)))
+
+
+def _assert_measures_node_by_node(e):
+    for node, fresh in zip(subterms(e), subterms(_uncached(e)), strict=True):
+        assert measures(node) == measures(fresh)
+
+
+def test_subst_of_a_constant_carries_measures():
+    # beta-reduce each lambda of the loop and of generated programs with a constant
+    roots = [_tail_loop(8, 3)] + [gen_source(seed, 20) for seed in range(20)]
+    lambdas = [n for root in roots for n in subterms(root) if isinstance(n, Abs)]
+    carried = 0
+    for lam in lambdas:
+        measures(lam)
+        out = subst(lam.body, lam.binder, Const(7))
+        carried += out is not lam.body and getattr(out, "_sm", None) is not None
+        _assert_measures_node_by_node(out)
+    assert carried  # the check above is not vacuous
+
+
+def test_subst_carries_no_measures_past_a_type_with_the_variable_free():
+    # types in programs are closed; this one is built directly around a free x
+    raw = parse_type("{x:Int|true}")
+    open_ref = parse_type("{y:Int|y < x}")
+    e = Op("+", (Cast(open_ref, EMPTY_ANN, raw, "l", Var("x")), Var("x")))
+    before = measures(e)
+    out = subst(e, "x", Const(1))
+    assert measures(out).tkeys != before.tkeys
+    _assert_measures_node_by_node(out)
