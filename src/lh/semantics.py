@@ -12,6 +12,20 @@ stack of frames, `(innermost frame, rest)` pairs ending in None.  A `Frame` is
 a node with a hole at one child; it reads and rebuilds the node through the
 shape table of `syntax` (`children`, `with_child`).
 
+Both find a node's local rule in one table per mode, keyed by the node's
+class (`_RULES`).  Only the cast rule differs between modes; it and the
+proxy judgment (`_PROXIES`) are picked when the `Machine` is made, so no rule
+tests the mode again.  Classes are compared with `is`, since no term, type,
+annotation or coercion class has a subclass.
+
+`E-Fix` unrolls a closed `Fix` once (`syntax.unroll`): the body is cached on
+the node, and each iteration of a loop steps to the same body.  Putting a
+closed value in renames no binder, so reusing the body skips no `fresh_name`
+call and every printed name stays the same.  A `Fix` with a free variable
+(only a term built directly holds one) is unrolled afresh each time.  The
+body depends on the node alone, not on the mode, and what the meter and the
+trace checker cache on its nodes depends on those nodes alone.
+
 A traced run records one `TraceStep` per step, holding the step index, the
 rule, and the context and focus just after the step: O(1) work and memory per
 step, as contexts share their tails.  `TraceStep.term` plugs the focus back
@@ -66,6 +80,7 @@ from .syntax import (
     alpha_eq,
     canon,
     subst,
+    unroll,
     with_child,
 )
 
@@ -405,167 +420,147 @@ _STUCK = "stuck"
 class Machine:
     """One evaluator: a mode plus its implication oracle and choose policy."""
 
-    def __init__(
-        self,
-        mode: Mode,
-        oracle: ImplicationOracle = DEFAULT_ORACLE,
-        choose_policy: str = "lex-min",
-    ):
+    def __init__(self, mode: Mode, oracle: ImplicationOracle = DEFAULT_ORACLE, choose_policy: str = "lex-min"):
         self.mode = mode
         self.oracle = oracle
         self.choose_policy = choose_policy
+        # the mode's local rules by node class, its proxy judgment, and the
+        # annotation class its casts carry once annotated (see _RULES below)
+        self._rules = _RULES[mode]
+        self._proxy = _PROXIES[mode]
+        self._ann = _ANNOTATIONS[mode]
 
     # -- value judgment
 
     def is_value(self, e: Term) -> bool:
-        if isinstance(e, (Const, Abs)):
-            return True
-        if not isinstance(e, Cast):
-            return False
-        if not (isinstance(e.src, Fun) and isinstance(e.tgt, Fun)):
-            return False
-        m = self.mode
-        if m is Mode.CLASSIC:
-            return isinstance(e.ann, EmptyAnn) and (isinstance(e.subject, Abs) or self.is_value(e.subject))
-        if m is Mode.FORGETFUL:
-            return isinstance(e.ann, EmptyAnn) and isinstance(e.subject, Abs)
-        if m is Mode.HEEDFUL:
-            return isinstance(e.ann, Types) and isinstance(e.subject, Abs)
-        return (
-            isinstance(e.ann, Coerce)
-            and isinstance(e.ann.coercion, FunC)
-            and e.label is None
-            and isinstance(e.subject, Abs)
-        )
+        kind = type(e)
+        if kind is Cast:
+            return type(e.src) is Fun and type(e.tgt) is Fun and self._proxy(self, e)
+        return kind is Const or kind is Abs
 
-    # -- local dispatch: what happens at this node, ignoring its context
+    # -- local rules: what happens at a node of each class, ignoring its context
 
     def _local(self, e: Term):
-        if isinstance(e, Const) or isinstance(e, Abs):
-            return (_VALUE,)
-        if isinstance(e, Blame):
-            return (_BLAME, e.label)
-        if isinstance(e, Var):
-            return (_STUCK, f"free variable {e.name!r}")
-        if isinstance(e, Fix):
-            return (_STEP, subst(e.body, e.binder, e), "E-Fix")
-        if isinstance(e, App):
-            if isinstance(e.fn, Blame):
-                return (_STEP, Blame(e.fn.label), "E-AppRaiseL")
-            if not self.is_value(e.fn):
-                return (_DESCEND, Frame(e, 0, e.fn))
-            if isinstance(e.arg, Blame):
-                return (_STEP, Blame(e.arg.label), "E-AppRaiseR")
-            if not self.is_value(e.arg):
-                return (_DESCEND, Frame(e, 1, e.arg))
-            if isinstance(e.fn, Abs):
-                return (_STEP, subst(e.fn.body, e.fn.binder, e.arg), "E-Beta")
-            if isinstance(e.fn, Cast):
-                return (_STEP, self._unwrap(e.fn, e.arg), "E-Unwrap")
-            return (_STUCK, "application of a non-function value")
-        if isinstance(e, Op):
-            for i, arg in enumerate(e.args):
-                if isinstance(arg, Blame):
-                    return (_STEP, Blame(arg.label), "E-OpRaise")
-                if not self.is_value(arg):
-                    return (_DESCEND, Frame(e, i, arg))
-            if not all(isinstance(a, Const) for a in e.args):
-                return (_STUCK, f"operation {e.name!r} applied to a non-constant")
-            try:
-                return (_STEP, apply_op(e.name, list(e.args)), "E-Op")
-            except OpUndefined as exc:
-                return (_STUCK, f"operation {e.name!r} undefined: {exc}")
-            except OverflowFault:
-                return (_STUCK, f"integer overflow in {e.name!r}")
-        if isinstance(e, Cond):
-            if isinstance(e.guard, Blame):
-                return (_STEP, Blame(e.guard.label), "E-IfRaise")
-            if not self.is_value(e.guard):
-                return (_DESCEND, Frame(e, 0, e.guard))
-            if isinstance(e.guard, Const) and e.guard.value is True:
-                return (_STEP, e.then, "E-IfTrue")
-            if isinstance(e.guard, Const) and e.guard.value is False:
-                return (_STEP, e.orelse, "E-IfFalse")
-            return (_STUCK, "conditional guard is not a boolean")
-        if isinstance(e, Cast):
-            return self._local_cast(e)
-        if isinstance(e, ActiveCheck):
-            cur = e.current
-            if isinstance(cur, Const) and cur.value is True:
-                return (_STEP, e.scrutinee, "E-CheckOK")
-            if isinstance(cur, Const) and cur.value is False:
-                return (_STEP, Blame(e.label), "E-CheckFail")
-            if isinstance(cur, Blame):
-                return (_STEP, Blame(cur.label), "E-CheckRaise")
-            if not self.is_value(cur):
-                return (_DESCEND, Frame(e, 0, cur))
-            return (_STUCK, "active check reduced to a non-boolean value")
-        if isinstance(e, CoercionStack):
-            cur = e.current
-            if isinstance(cur, Blame):
-                return (_STEP, Blame(cur.label), "E-StackRaise")
-            if isinstance(cur, Const):
-                if e.pending:
-                    return (_STEP, self._stack_pop(e), "E-StackPop")
-                return (_STEP, cur, "E-StackDone")
-            if not self.is_value(cur):
-                return (_DESCEND, Frame(e, 0, cur))
-            return (_STUCK, "coercion stack reduced to a non-constant value")
+        return self._rules.get(type(e), Machine._unknown)(self, e)
+
+    def _unknown(self, e: Term):
         return (_STUCK, f"unknown term {type(e).__name__}")
 
-    def _local_cast(self, e: Cast):
-        m = self.mode
-        # 1. annotate source casts first
-        if isinstance(e.ann, EmptyAnn):
-            if m is Mode.HEEDFUL:
-                return (_STEP, Cast(e.src, Types(EMPTY_SET), e.tgt, e.label, e.subject), "E-TypeSet")
-            if m is Mode.EIDETIC:
-                if e.label is None:
-                    return (_STUCK, "eidetic cast with empty annotation and empty label")
-                ann = Coerce(coerce(e.src, e.tgt, e.label))
-                return (_STEP, Cast(e.src, ann, e.tgt, None, e.subject), "E-Coerce")
-        # 2. raise blame out of the subject
-        if isinstance(e.subject, Blame):
-            return (_STEP, Blame(e.subject.label), "E-CastRaise")
-        # 3. merge adjacent casts whenever the mode can
-        if isinstance(e.subject, Cast):
-            inner = e.subject
-            merged = merge(m, inner.src, inner.ann, inner.tgt, e.ann, e.tgt, self.oracle)
+    def _app(self, e: App):
+        fn, arg = e.fn, e.arg
+        if type(fn) is Blame:
+            return (_STEP, Blame(fn.label), "E-AppRaiseL")
+        if not self.is_value(fn):
+            return (_DESCEND, Frame(e, 0, fn))
+        if type(arg) is Blame:
+            return (_STEP, Blame(arg.label), "E-AppRaiseR")
+        if not self.is_value(arg):
+            return (_DESCEND, Frame(e, 1, arg))
+        if type(fn) is Abs:
+            return (_STEP, subst(fn.body, fn.binder, arg), "E-Beta")
+        if type(fn) is Cast:
+            return (_STEP, self._unwrap(fn, arg), "E-Unwrap")
+        return (_STUCK, "application of a non-function value")
+
+    def _op(self, e: Op):
+        for i, arg in enumerate(e.args):
+            if type(arg) is Blame:
+                return (_STEP, Blame(arg.label), "E-OpRaise")
+            if not self.is_value(arg):
+                return (_DESCEND, Frame(e, i, arg))
+        if not all(type(a) is Const for a in e.args):
+            return (_STUCK, f"operation {e.name!r} applied to a non-constant")
+        try:
+            return (_STEP, apply_op(e.name, list(e.args)), "E-Op")
+        except OpUndefined as exc:
+            return (_STUCK, f"operation {e.name!r} undefined: {exc}")
+        except OverflowFault:
+            return (_STUCK, f"integer overflow in {e.name!r}")
+
+    def _cond(self, e: Cond):
+        guard = e.guard
+        if type(guard) is Blame:
+            return (_STEP, Blame(guard.label), "E-IfRaise")
+        if not self.is_value(guard):
+            return (_DESCEND, Frame(e, 0, guard))
+        if type(guard) is Const and type(guard.value) is bool:
+            return (_STEP, e.then, "E-IfTrue") if guard.value else (_STEP, e.orelse, "E-IfFalse")
+        return (_STUCK, "conditional guard is not a boolean")
+
+    def _check(self, e: ActiveCheck):
+        cur = e.current
+        if type(cur) is Const and type(cur.value) is bool:
+            return (_STEP, e.scrutinee, "E-CheckOK") if cur.value else (_STEP, Blame(e.label), "E-CheckFail")
+        if type(cur) is Blame:
+            return (_STEP, Blame(cur.label), "E-CheckRaise")
+        if not self.is_value(cur):
+            return (_DESCEND, Frame(e, 0, cur))
+        return (_STUCK, "active check reduced to a non-boolean value")
+
+    def _stack(self, e: CoercionStack):
+        cur = e.current
+        if type(cur) is Blame:
+            return (_STEP, Blame(cur.label), "E-StackRaise")
+        if type(cur) is Const:
+            if e.pending:
+                return (_STEP, self._stack_pop(e), "E-StackPop")
+            return (_STEP, cur, "E-StackDone")
+        if not self.is_value(cur):
+            return (_DESCEND, Frame(e, 0, cur))
+        return (_STUCK, "coercion stack reduced to a non-constant value")
+
+    def _cast_heedful(self, e: Cast):
+        if type(e.ann) is EmptyAnn:  # annotate source casts first
+            return (_STEP, Cast(e.src, Types(EMPTY_SET), e.tgt, e.label, e.subject), "E-TypeSet")
+        return self._cast(e)
+
+    def _cast_eidetic(self, e: Cast):
+        if type(e.ann) is EmptyAnn:  # annotate source casts first
+            if e.label is None:
+                return (_STUCK, "eidetic cast with empty annotation and empty label")
+            ann = Coerce(coerce(e.src, e.tgt, e.label))
+            return (_STEP, Cast(e.src, ann, e.tgt, None, e.subject), "E-Coerce")
+        return self._cast(e)
+
+    def _cast(self, e: Cast):
+        subject = e.subject
+        # 1. raise blame out of the subject
+        if type(subject) is Blame:
+            return (_STEP, Blame(subject.label), "E-CastRaise")
+        # 2. merge adjacent casts whenever the mode can
+        if type(subject) is Cast:
+            merged = merge(self.mode, subject.src, subject.ann, subject.tgt, e.ann, e.tgt, self.oracle)
             if merged is not None:
-                return (_STEP, Cast(inner.src, merged, e.tgt, e.label, inner.subject), "E-CastMergeE")
-        # 4. otherwise step the subject
-        if not self.is_value(e.subject):
-            return (_DESCEND, Frame(e, 0, e.subject))
-        # 5. subject is a value: check, stack, or stand as a proxy
+                return (_STEP, Cast(subject.src, merged, e.tgt, e.label, subject.subject), "E-CastMergeE")
+        # 3. otherwise step the subject
+        if not self.is_value(subject):
+            return (_DESCEND, Frame(e, 0, subject))
+        # 4. subject is a value: check, stack, or stand as a proxy
         return self._cast_on_value(e)
 
     def _cast_on_value(self, e: Cast):
-        m = self.mode
-        if isinstance(e.src, Refinement) and isinstance(e.tgt, Refinement):
-            if not isinstance(e.subject, Const):
-                return (_STUCK, "refinement cast over a non-constant value")
+        src, tgt, ann = e.src, e.tgt, type(e.ann)
+        if type(src) is Refinement and type(tgt) is Refinement:
             k = e.subject
-            if isinstance(e.ann, EmptyAnn):
-                if m in (Mode.CLASSIC, Mode.FORGETFUL):
-                    return (_STEP, self._start_check(e.tgt, k, e.label), "E-CheckNoneC")
-                return (_STUCK, "unannotated refinement cast in an annotating mode")
-            if isinstance(e.ann, Types):
-                if m is not Mode.HEEDFUL:
-                    return (_STUCK, "type-set annotation outside heedful mode")
-                if not len(e.ann.types):
-                    return (_STEP, self._start_check(e.tgt, k, e.label), "E-CheckEmpty")
-                chosen = choose(e.ann.types, self.choose_policy)
+            if type(k) is not Const:
+                return (_STUCK, "refinement cast over a non-constant value")
+            if ann is not self._ann:
+                return (_STUCK, _FOREIGN_ANNOTATION[ann])
+            if ann is EmptyAnn:
+                return (_STEP, self._start_check(tgt, k, e.label), "E-CheckNoneC")
+            if ann is Types:
+                types = e.ann.types
+                if not len(types):
+                    return (_STEP, self._start_check(tgt, k, e.label), "E-CheckEmpty")
+                chosen = choose(types, self.choose_policy)
                 assert isinstance(chosen, Refinement)
-                rest = e.ann.types.remove(chosen)
-                check = self._start_check(chosen, k, e.label)
-                return (_STEP, Cast(chosen, Types(rest), e.tgt, e.label, check), "E-CheckSet")
-            if m is not Mode.EIDETIC:
-                return (_STUCK, "coercion annotation outside eidetic mode")
-            if not isinstance(e.ann.coercion, Refs):
+                rest = Types(types.remove(chosen))
+                return (_STEP, Cast(chosen, rest, tgt, e.label, self._start_check(chosen, k, e.label)), "E-CheckSet")
+            if type(e.ann.coercion) is not Refs:
                 return (_STUCK, "function coercion on a refinement cast")
-            stack = CoercionStack(e.tgt, Status.UNCHECKED, e.ann.coercion.entries, k, k)
+            stack = CoercionStack(tgt, Status.UNCHECKED, e.ann.coercion.entries, k, k)
             return (_STEP, stack, "E-CoerceStack")
-        if isinstance(e.src, Fun) and isinstance(e.tgt, Fun):
+        if type(src) is Fun and type(tgt) is Fun:
             if self.is_value(e):
                 return (_VALUE,)
             return (_STUCK, "function cast over an inadmissible value")
@@ -624,10 +619,11 @@ class Machine:
         focus = e
         steps = 0
         recorded: Optional[list[TraceStep]] = [] if trace else None
+        rules, unknown = self._rules, Machine._unknown
         if observer is not None:
             observer.start(focus)
         while True:
-            act = self._local(focus)
+            act = rules.get(type(focus), unknown)(self, focus)  # as self._local(focus)
             tag = act[0]
             if tag == _DESCEND:
                 frame = act[1]
@@ -646,7 +642,7 @@ class Machine:
                 steps += 1
                 if recorded is not None:
                     recorded.append(TraceStep(steps, rule, ctx, focus))
-                if ctx is None or not isinstance(ctx[0].orig, Cast):
+                if ctx is None or type(ctx[0].orig) is not Cast:
                     continue
                 # the parent cast may now be able to merge or raise: pop it
             elif tag == _STUCK or ctx is None:
@@ -666,6 +662,43 @@ class Machine:
             return Outcome(OutcomeKind.BLAME, label=act[1], **common)
         return Outcome(OutcomeKind.STUCK, stuck_reason=act[1], **common)
 
+
+# A mode's local rules, by the class of the node they apply to.  Only the
+# cast rule differs between modes: heedful and eidetic annotate a source cast
+# before anything else.
+_RULES: dict[Mode, dict[type, Callable]] = {
+    mode: {
+        Const: lambda m, e: (_VALUE,),
+        Abs: lambda m, e: (_VALUE,),
+        Blame: lambda m, e: (_BLAME, e.label),
+        Var: lambda m, e: (_STUCK, f"free variable {e.name!r}"),
+        Fix: lambda m, e: (_STEP, unroll(e), "E-Fix"),
+        App: Machine._app,
+        Op: Machine._op,
+        Cond: Machine._cond,
+        Cast: {Mode.HEEDFUL: Machine._cast_heedful, Mode.EIDETIC: Machine._cast_eidetic}.get(mode, Machine._cast),
+        ActiveCheck: Machine._check,
+        CoercionStack: Machine._stack,
+    }
+    for mode in Mode
+}
+
+# When a cast between function types over a value is itself a value (a proxy).
+_PROXIES: dict[Mode, Callable[[Machine, Cast], bool]] = {
+    Mode.CLASSIC: lambda m, e: type(e.ann) is EmptyAnn and (type(e.subject) is Abs or m.is_value(e.subject)),
+    Mode.FORGETFUL: lambda m, e: type(e.ann) is EmptyAnn and type(e.subject) is Abs,
+    Mode.HEEDFUL: lambda m, e: type(e.ann) is Types and type(e.subject) is Abs,
+    Mode.EIDETIC: lambda m, e: (
+        type(e.ann) is Coerce and type(e.ann.coercion) is FunC and e.label is None and type(e.subject) is Abs
+    ),
+}
+
+_ANNOTATIONS = {Mode.CLASSIC: EmptyAnn, Mode.FORGETFUL: EmptyAnn, Mode.HEEDFUL: Types, Mode.EIDETIC: Coerce}
+_FOREIGN_ANNOTATION = {
+    EmptyAnn: "unannotated refinement cast in an annotating mode",
+    Types: "type-set annotation outside heedful mode",
+    Coerce: "coercion annotation outside eidetic mode",
+}
 
 _DEFAULT_MACHINES: dict[Mode, Machine] = {}
 

@@ -48,6 +48,16 @@ measures like the variable it replaces.  Every term node of a measured term
 is measured, and types never are.  A type with x free (only a term built
 directly holds one) changes the keys of every node above it, so after an
 unmeasured node none is copied.  Plain eval, measuring nothing, copies none.
+
+`subst` maps parts with two closures, `go` for a part and `scope` for a
+binder's scope, and rebuilds no part whose cached free variables lack x.
+Without the closures (a state object's methods) it was no faster.
+
+`unroll(e)` is the body of a `Fix` with the `Fix` put in for its binder, one
+`E-Fix` step.  A closed `Fix` keeps it (`_unrolled`, beside `_fv`, `_canon`
+and `_sm`): substituting a closed value calls no `fresh_name`, and the body
+is the same for every mode and every iteration of a loop, which used to
+rebuild it at each `E-Fix`.
 """
 
 from __future__ import annotations
@@ -334,28 +344,35 @@ def children(e: Term) -> tuple[Term, ...]:
     raise TypeError(f"children: not a term: {e!r}")
 
 
+def _swapped(kids: tuple, i: int, child: Term) -> tuple:
+    return kids[:i] + (child,) + kids[i + 1 :]
+
+
+_WITH_CHILD = {
+    Cast: lambda e, i, c: Cast(e.src, e.ann, e.tgt, e.label, c),
+    App: lambda e, i, c: App(c, e.arg) if i == 0 else App(e.fn, c),
+    Op: lambda e, i, c: Op(e.name, _swapped(e.args, i, c)),
+    Cond: lambda e, i, c: Cond(*_swapped((e.guard, e.then, e.orelse), i, c)),
+    ActiveCheck: lambda e, i, c: (
+        ActiveCheck(e.tgt, c, e.scrutinee, e.label) if i == 0 else ActiveCheck(e.tgt, e.current, c, e.label)
+    ),
+    CoercionStack: lambda e, i, c: (
+        CoercionStack(e.tgt, e.status, e.pending, e.scrutinee, c)
+        if i == 0
+        else CoercionStack(e.tgt, e.status, e.pending, c, e.current)
+    ),
+    Abs: lambda e, i, c: Abs(e.binder, e.annot, c),
+    Fix: lambda e, i, c: Fix(e.binder, e.annot, c),
+}
+
+
 def with_child(e: Term, i: int, child: Term) -> Term:
     """A copy of e whose i-th child, in `children` order, is child."""
 
-    if isinstance(e, Cast):
-        return Cast(e.src, e.ann, e.tgt, e.label, child)
-    if isinstance(e, App):
-        return App(child, e.arg) if i == 0 else App(e.fn, child)
-    if isinstance(e, (Op, Cond)):
-        kids = list(children(e))
-        kids[i] = child
-        return Op(e.name, tuple(kids)) if isinstance(e, Op) else Cond(*kids)
-    if isinstance(e, ActiveCheck):
-        if i == 0:
-            return ActiveCheck(e.tgt, child, e.scrutinee, e.label)
-        return ActiveCheck(e.tgt, e.current, child, e.label)
-    if isinstance(e, CoercionStack):
-        if i == 0:
-            return CoercionStack(e.tgt, e.status, e.pending, e.scrutinee, child)
-        return CoercionStack(e.tgt, e.status, e.pending, child, e.current)
-    if isinstance(e, (Abs, Fix)):
-        return type(e)(e.binder, e.annot, child)
-    raise TypeError(f"with_child: {type(e).__name__} has no child {i}")
+    rebuild = _WITH_CHILD.get(type(e))
+    if rebuild is None:
+        raise TypeError(f"with_child: {type(e).__name__} has no child {i}")
+    return rebuild(e, i, child)
 
 
 def subterms(e: Term) -> Iterator[Term]:
@@ -550,6 +567,19 @@ def subst(e: Node, x: str, v: Term) -> Node:
     out = go(e)
     go = scope = None  # they refer to each other: let refcounting free them, not the collector
     return out
+
+
+def unroll(e: Fix) -> Term:
+    """The body of e with e put in for its binder, as one E-Fix step makes it.
+    A closed e keeps the result: substituting a closed value renames nothing,
+    so no `fresh_name` call is skipped by reusing it."""
+
+    cached = getattr(e, "_unrolled", None)
+    if cached is not None:
+        return cached
+    if free_vars(e):
+        return subst(e.body, e.binder, e)
+    return _cache(e, "_unrolled", subst(e.body, e.binder, e))
 
 
 # ---------------------------------------------------------------------------

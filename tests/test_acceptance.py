@@ -5,13 +5,13 @@ import itertools
 import random
 import time
 
+from coercions import gen_reflist
 from conftest import load_example
 from lh import eval_term
 from lh.harness import (
     ANY,
     INT_POOL,
     diff_modes,
-    gen_reflist,
     gen_source,
 )
 from lh.metering import eval_metered

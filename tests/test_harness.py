@@ -4,17 +4,14 @@ from collections import Counter
 
 import pytest
 
+from coercions import assoc_counterexamples, coercion_eq, gen_coercion, gen_reflist
 from conftest import load_example
 from lh import eval_term, harness
 from lh.harness import (
     ANY,
     NAT,
-    assoc_counterexamples,
     check_trace,
-    coercion_eq,
     diff_modes,
-    gen_coercion,
-    gen_reflist,
     gen_source,
     run_fuzz,
 )

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_example
-from lh import eval_term, semantics
+from lh import eval_term, semantics, syntax
 from lh.harness import gen_source
 from lh.semantics import (
     IsBlame,
@@ -25,12 +25,15 @@ from lh.semantics import (
 from lh.surface import parse, parse_type, print_term
 from lh.syntax import (
     ALL_MODES,
+    Abs,
     App,
     Cast,
     Coerce,
     Const,
     EMPTY_ANN,
     EMPTY_SET,
+    Fix,
+    Fun,
     FunC,
     Mode,
     RefEntry,
@@ -38,7 +41,10 @@ from lh.syntax import (
     Status,
     TypeSet,
     Types,
+    Var,
     alpha_eq,
+    free_vars,
+    subst,
 )
 
 ANY = parse_type("{x:Int|true}")
@@ -310,6 +316,46 @@ def test_machine_agrees_with_reference_stepper_on_blaming_loop():
     for mode in ALL_MODES:
         out = _assert_agrees_with_reference(mode, parse(BLAMING_LOOP))
         assert out.kind is OutcomeKind.BLAME and out.label == labels[mode]
+
+
+# the benchmark's loop shape: a cast on the recursive call and on the base case
+TAIL_LOOP = r"""
+let rec loop : {x:Int|true} -> {x:Int|true} -> {x:Int|x > -2} =
+  \n:{x:Int|true}. \acc:{x:Int|true}.
+    if n = 0 then <{x:Int|true} => {x:Int|x > -2} @ b7> acc
+    else <{x:Int|x > -2} => {x:Int|x > -2} @ r3> (loop (n - 1) (acc + n));
+loop 20 ({acc})
+"""
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_machine_agrees_with_reference_stepper_on_both_tail_loops(mode):
+    value = _assert_agrees_with_reference(mode, parse(TAIL_LOOP.replace("{acc}", "17")))
+    assert value.kind is OutcomeKind.VALUE and value.term.value == 17 + 20 * 21 // 2
+    blame = _assert_agrees_with_reference(mode, parse(TAIL_LOOP.replace("{acc}", "-1000")))
+    assert blame.kind is OutcomeKind.BLAME
+    assert blame.label == ("b7" if mode in (Mode.CLASSIC, Mode.EIDETIC) else "r3")
+
+
+def test_e_fix_unrolls_a_closed_fix_once():
+    fix = parse(BLAMING_LOOP).fn.fn
+    assert isinstance(fix, Fix) and not free_vars(fix)
+    first = machine(Mode.CLASSIC).step(fix)
+    assert first.rule == "E-Fix" and alpha_eq(first.term, subst(fix.body, fix.binder, fix))
+    for mode in ALL_MODES:
+        again = machine(mode).step(fix)
+        assert again.rule == "E-Fix" and again.term is first.term
+
+
+def test_e_fix_unrolls_an_open_fix_afresh(monkeypatch):
+    # fix f. (\y. f y) y: y is free in the fix, so each unrolling renames the inner y
+    fix = Fix("f", Fun(ANY, ANY), App(Abs("y", ANY, App(Var("f"), Var("y"))), Var("y")))
+    names = []
+    monkeypatch.setattr(syntax, "fresh_name", lambda base, avoid: names.append(base) or f"y_fresh{len(names)}")
+    first, second = machine(Mode.CLASSIC).step(fix), machine(Mode.EIDETIC).step(fix)
+    assert first.rule == second.rule == "E-Fix" and first.term is not second.term
+    assert names == ["y", "y"]  # one renaming per unrolling, as without the cache
+    assert first.term.fn.binder == "y_fresh1" and second.term.fn.binder == "y_fresh2"
 
 
 def test_tracing_rebuilds_no_more_than_plain_eval(monkeypatch):
