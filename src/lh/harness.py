@@ -37,6 +37,7 @@ from .syntax import (
     held_types,
     is_raw,
     raw,
+    rebuilt_at,
     subterms,
     type_keys,
 )
@@ -313,7 +314,8 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     count from zero, and the live casts over a mergeable cast pair that the
     machine would not merge first.  One checker serves the whole trace; a
     node's judgments are forgotten when the node leaves the table, so a node
-    that a step did not rebuild is checked only once."""
+    that a step did not rebuild is checked only once; one that a step
+    rebuilt at one child takes over its counterpart's (`Checker.carry`)."""
 
     terms = iter(terms)
     first = next(terms, None)
@@ -329,7 +331,8 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     live = _LiveNodes(mode)
     prev = None
     for i, term in enumerate(itertools.chain((first,), terms)):
-        grew = live.enter(term)
+        grew, spine = live.enter(term, prev)
+        checker.carry(spine)
         try:
             checker.check({}, term, ty)
         except TypeCheckError as exc:
@@ -366,13 +369,37 @@ class _LiveNodes:
         self.keys: dict[str, int] = {}
         self.unmerged: set[Term] = set()
 
-    def enter(self, root: Term) -> bool:
+    def enter(self, root: Term, prev: Optional[Term]) -> tuple[bool, list]:
         """Count one more term rooted at root, adding the nodes that are not
-        live yet; True if a type key that no live node had appeared."""
+        live yet; from the root down, a node that is its counterpart in prev
+        (a live term) rebuilt at one child takes over its kids and held
+        types.  Returns whether a type key no live node had appeared, and
+        (counterpart, node, i, new child) per rebuilt node."""
 
         table, holders, keys = self.table, self.holders, self.keys
+        spine = []
+        node = root
+        while prev is not None and node is not prev and node not in table:
+            at = rebuilt_at(prev, node)
+            if at is None:
+                break
+            i, kid = at
+            _, kids, held = table[prev]
+            if len(kids) > 1:
+                for k in kids[:i] + kids[i + 1 :]:
+                    table[k][0] += 1
+            table[node] = [1, kids[:i] + (kid,) + kids[i + 1 :] if len(kids) > 1 else (kid,), held]
+            for t in held[0]:
+                holders[t] += 1
+            for ref in held[1]:
+                keys[canon(ref)] += 1
+            if self.pairs and type(node) is Cast and type(kid) is Cast and self._unmerged(node):
+                self.unmerged.add(node)
+            spine.append((prev, node, i, kid))
+            node, prev = kid, kids[i]
+
         grew = False
-        todo = [root]
+        todo = [node]
         while todo:
             node = todo.pop()
             entry = table.get(node)
@@ -396,7 +423,7 @@ class _LiveNodes:
                 grew = _acquire(keys, canon(ref)) or grew
             if self.pairs and isinstance(node, Cast) and isinstance(node.subject, Cast) and self._unmerged(node):
                 self.unmerged.add(node)
-        return grew
+        return grew, spine
 
     def _unmerged(self, cast: Cast) -> bool:
         inner = cast.subject

@@ -6,7 +6,7 @@ are immutable after construction and safe to share between threads.
 
 Term shape is written down once, here: `children(e)` lists a term node's
 immediate subterms, `with_child(e, i, c)` rebuilds e with c as its i-th
-child, `subterms(e)` walks all of them on an explicit stack, and
+child (`rebuilt_at` inverts it), `subterms(e)` walks them all, and
 `held_types(e)` lists the types the node holds itself, split into those that
 count with their structural parts and refinement-list entries that count
 alone.  That split decides `types(e)`, the set of types no reduction step may
@@ -324,24 +324,24 @@ Node = Union[Term, Type]
 # Term shape: what a term node contains
 
 
+_CHILDREN = {
+    **dict.fromkeys((Var, Const, Blame), lambda e: ()),
+    **dict.fromkeys((Abs, Fix), lambda e: (e.body,)),
+    App: lambda e: (e.fn, e.arg),
+    Op: lambda e: e.args,
+    Cast: lambda e: (e.subject,),
+    **dict.fromkeys((ActiveCheck, CoercionStack), lambda e: (e.current, e.scrutinee)),
+    Cond: lambda e: (e.guard, e.then, e.orelse),
+}
+
+
 def children(e: Term) -> tuple[Term, ...]:
     """The immediate subterms of a term node; its types and annotations are not terms."""
 
-    if isinstance(e, (Var, Const, Blame)):
-        return ()
-    if isinstance(e, (Abs, Fix)):
-        return (e.body,)
-    if isinstance(e, App):
-        return (e.fn, e.arg)
-    if isinstance(e, Op):
-        return e.args
-    if isinstance(e, Cast):
-        return (e.subject,)
-    if isinstance(e, (ActiveCheck, CoercionStack)):
-        return (e.current, e.scrutinee)
-    if isinstance(e, Cond):
-        return (e.guard, e.then, e.orelse)
-    raise TypeError(f"children: not a term: {e!r}")
+    kids = _CHILDREN.get(type(e))
+    if kids is None:
+        raise TypeError(f"children: not a term: {e!r}")
+    return kids(e)
 
 
 def _swapped(kids: tuple, i: int, child: Term) -> tuple:
@@ -373,6 +373,40 @@ def with_child(e: Term, i: int, child: Term) -> Term:
     if rebuild is None:
         raise TypeError(f"with_child: {type(e).__name__} has no child {i}")
     return rebuild(e, i, child)
+
+
+def _one_changed(old: tuple, new: tuple) -> Optional[tuple[int, Term]]:
+    changed = [i for i, kid in enumerate(new) if kid is not old[i]]
+    return (changed[0], new[changed[0]]) if len(changed) == 1 else None
+
+
+_REBUILT_AT = {
+    Cast: lambda o, n: (
+        (0, n.subject)
+        if n.subject is not o.subject and n.src is o.src and n.ann is o.ann and n.tgt is o.tgt and n.label is o.label
+        else None
+    ),
+    App: lambda o, n: (
+        ((1, n.arg) if n.arg is not o.arg else None) if n.fn is o.fn else (0, n.fn) if n.arg is o.arg else None
+    ),
+    Cond: lambda o, n: _one_changed((o.guard, o.then, o.orelse), (n.guard, n.then, n.orelse)),
+    Op: lambda o, n: _one_changed(o.args, n.args) if n.name is o.name and len(n.args) == len(o.args) else None,
+    ActiveCheck: lambda o, n: _one_changed(children(o), children(n)) if n.tgt is o.tgt and n.label is o.label else None,
+    CoercionStack: lambda o, n: (
+        _one_changed(children(o), children(n)) if n.tgt is o.tgt and n.status is o.status and n.pending is o.pending else None
+    ),
+    **dict.fromkeys(
+        (Abs, Fix), lambda o, n: (0, n.body) if n.body is not o.body and n.binder is o.binder and n.annot is o.annot else None
+    ),
+}
+
+
+def rebuilt_at(old: Term, new: Term) -> Optional[tuple[int, Term]]:
+    """The inverse of `with_child`: (i, c) if new is old with c, a different
+    object, for its i-th child and every other part the same; else None."""
+
+    rebuilt = _REBUILT_AT.get(type(new))
+    return rebuilt(old, new) if rebuilt is not None and type(old) is type(new) else None
 
 
 def subterms(e: Term) -> Iterator[Term]:

@@ -14,10 +14,7 @@ a dict from a node, by identity, to the judgments about it, which are
 - for a type node: `wf_type` succeeded on it;
 - for a closed term (one checked under the empty environment, always with
   the checker's own `source` flag): the type `infer` gave it; for each
-  expected type object it was checked against, that `check` succeeded; and,
-  for an abstraction, per type t the function type `Fun(annot, t)` a redex
-  checks it against, built once so that the judgment above still hits after
-  the step that rebuilt the redex.
+  expected type object it was checked against, that `check` succeeded.
 
 Failures are never stored, so every error is raised again, with the same
 kind, path and message, by the same rules.  The memo has no generations: a
@@ -26,6 +23,15 @@ checker keeps a node's judgments until `forget` drops them.
 trace terms, so the memo holds about two terms' worth of term nodes (plus
 the type nodes checked well formed) and a node that a step did not rebuild
 is never checked again.
+
+A step rebuilds each node from the root to its focus at one child, and
+`carry` gives each, bottom-up, the judgments of the node it rebuilds.  They
+are copied where every rule only checks that child against a type the other
+parts fix (`_child_type`: a cast's subject, an operator argument, an
+application's argument unless the function is blame), once the new child
+passes; elsewhere (an application's function, a guard or branch, children
+of runtime forms, binder bodies) the node's rule is rerun against each type
+the old node had.  The check of the whole term then hits the memo at the root.
 
 Premise and replay verdicts (does a predicate instance evaluate to `true`,
 does an active check's state follow from its predicate) are shared by all
@@ -421,7 +427,7 @@ class Checker:
             if isinstance(e, App) and isinstance(e.fn, Abs):
                 # push the expected type through the redex so substituted
                 # constants can be checked against refined codomains
-                self._check(env, e.fn, self._redex_type(e.fn, t), path + "/fn", source)
+                self._check(env, e.fn, Fun(e.fn.annot, t), path + "/fn", source)
                 self._check(env, e.arg, e.fn.annot, path + "/arg", source)
                 return
             if isinstance(e, App) and isinstance(e.fn, Blame) and not source:
@@ -434,17 +440,39 @@ class Checker:
         if not alpha_eq(inferred, t):
             raise TypeCheckError(NOT_SIMILAR, path, "inferred type differs from the expected type")
 
-    def _redex_type(self, fn: Abs, t: Type) -> Fun:
-        """Fun(fn.annot, t), one object per (fn, t) pair, so that the memo
-        entry for checking fn survives the rebuilding of its redex."""
+    def _child_type(self, e: Term, i: int) -> Optional[Type]:
+        """The type every rule checks e's i-th child against, where that is
+        all they read of it; None where they infer or replay it."""
 
-        key = ("redex", t)
-        facts = self._memo.get(fn)
-        ft = facts.get(key) if facts is not None else None
-        if ft is None:
-            ft = Fun(fn.annot, t)
-            self._note(fn, key, ft)
-        return ft
+        kind = type(e)
+        if kind is Cast:
+            return e.src
+        if kind is Op:
+            return op_signature(e.name)[0][i]
+        if kind is not App or i == 0 or type(e.fn) is Blame:
+            return None
+        if type(e.fn) is Abs:
+            return e.fn.annot
+        fn_t = self._infer({}, e.fn, "", self.source)
+        return fn_t.dom if type(fn_t) is Fun else None
+
+    def carry(self, spine: list[tuple[Term, Term, int, Term]]) -> None:
+        """Carry judgments up (old, new, i, kid) from the root down, new being
+        old with kid for its i-th child, until a check fails or old has none."""
+
+        try:
+            for old, new, i, kid in reversed(spine):
+                if (facts := self._memo.get(old)) is None:
+                    return
+                t = self._child_type(new, i)
+                if t is not None:
+                    self._check({}, kid, t, "", self.source)
+                    self._memo[new] = facts.copy()
+                    continue
+                for t in [t for t in facts if t is not _INFERRED]:
+                    self._check({}, new, t, "", self.source)
+        except TypeCheckError:
+            return
 
     # -- runtime forms
 

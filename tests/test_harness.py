@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -35,8 +36,12 @@ from lh.syntax import (
     Refs,
     alpha_eq,
     children,
+    is_raw,
+    raw,
+    rebuilt_at,
     subterms,
     type_keys,
+    with_child,
 )
 from lh.typecheck import Checker, TypeCheckError, check_source
 
@@ -181,13 +186,48 @@ def _other_label(node):
     return dataclasses.replace(node, label="swapped") if isinstance(node, Cast) else None
 
 
+def _rebuilt_spine(prev, term):
+    """(node, i) for each node of term that is its counterpart in prev
+    rebuilt at its i-th child, from the root down, as `check_trace` walks
+    them."""
+
+    spine = []
+    while (at := rebuilt_at(prev, term)) is not None:
+        spine.append((term, at[0]))
+        prev, term = children(prev)[at[0]], at[1]
+    return spine
+
+
+def _other_type(t):
+    if isinstance(t, Fun):
+        return Fun(t.dom, _other_type(t.cod))
+    return Refinement(t.binder, t.base, Const(False)) if is_raw(t) else raw(t.base)
+
+
+def _recast_shallowest(prev, term, change):
+    """term with the shallowest cast on its spine rebuilt from prev (see
+    `_rebuilt_spine`) rebuilt by change, with the same subject, and the nodes
+    above it rebuilt around it; None if the spine holds no cast."""
+
+    spine = _rebuilt_spine(prev, term)
+    k = next((k for k, (node, _) in enumerate(spine) if isinstance(node, Cast)), None)
+    if k is None:
+        return None
+    new = change(spine[k][0])
+    for node, i in reversed(spine[:k]):
+        new = with_child(node, i, new)
+    return new
+
+
 def _oracle_traces():
     """Clean traces of generated programs and of a short fact loop in every
     mode, each with corrupted copies: one step replaced by `Const(True)`, by
     the previous term or by the initial term, which share all or none of
-    their nodes with their neighbours, and one step rebuilt with its deepest
+    their nodes with their neighbours; one step rebuilt with its deepest
     constant or cast label swapped, which shares every node off the path to
-    the swapped one."""
+    the swapped one; and the first step from there on whose spine holds a
+    cast, with that cast's target or label changed but its subject kept, so
+    that the nodes above it are still rebuilt at one child."""
 
     fix = load_example("fact.lh").fn.fn
     programs = [gen_source(500 + i, 5 + i % 26) for i in range(24)]
@@ -207,6 +247,16 @@ def _oracle_traces():
             for bad in (Const(True), terms[j - 1], terms[0], *swapped):
                 if bad is not None:
                     yield mode, terms[:j] + [bad] + terms[j + 1 :]
+            changes = (
+                lambda cast: dataclasses.replace(cast, tgt=_other_type(cast.tgt)),
+                lambda cast: dataclasses.replace(cast, label="changed"),
+            )
+            for k in range(j, len(terms)):
+                recast = [_recast_shallowest(terms[k - 1], terms[k], change) for change in changes]
+                if recast[0] is not None:
+                    for bad in recast:
+                        yield mode, terms[:k] + [bad] + terms[k + 1 :]
+                    break
 
 
 def test_check_trace_matches_whole_term_reference():
@@ -246,22 +296,31 @@ let rec loop : {x:Int|true} -> {x:Int|true} -> {x:Int|x >= 0} =
   \\n:{x:Int|true}. \\acc:{x:Int|true}.
     if n = 0 then <{x:Int|true} => {x:Int|x >= 0} @ lbase> acc
     else <{x:Int|x >= 0} => {x:Int|x >= 0} @ lrec> (loop (n - 1) (acc + n));
-loop 20 0
 """
+
+
+def _loop_trace(mode, n):
+    """The trace terms of the value loop from n down, as a stream."""
+
+    out = eval_term(mode, parse(_LOOP_SRC + f"loop {n} 0"), 1_000_000, trace=True)
+    assert out.kind is OutcomeKind.VALUE and out.term.value == n * (n + 1) // 2
+    return itertools.chain((out.initial,), (s.term for s in out.trace))
 
 
 @pytest.mark.parametrize("mode", [Mode.CLASSIC, Mode.EIDETIC])
 @pytest.mark.parametrize("program", ["fact.lh", "loop"])
 def test_check_trace_visits_each_node_once_and_keeps_two_terms(monkeypatch, mode, program):
-    term = load_example(program) if program.endswith(".lh") else parse(_LOOP_SRC)
+    term = load_example(program) if program.endswith(".lh") else parse(_LOOP_SRC + "loop 20 0")
     out = eval_term(mode, term, 10_000, trace=True)
     assert out.kind is OutcomeKind.VALUE
     terms = out.trace_terms()
-    expected, before = 0, set()
+    # a node rebuilt at one child takes over its counterpart's held types
+    expected, before, prev = 0, set(), None
     for t in terms:
         now = {id(s) for s in subterms(t)}
-        expected += len(now - before)
-        before = now
+        rebuilt = {id(s) for s, _ in _rebuilt_spine(prev, t)}
+        expected += len(now - before - rebuilt)
+        before, prev = now, t
 
     visits = []
     held_types = harness.held_types
@@ -279,6 +338,28 @@ def test_check_trace_visits_each_node_once_and_keeps_two_terms(monkeypatch, mode
     (checker,) = checkers
     last = {id(s) for s in subterms(terms[-1])}
     assert [n for n in checker._memo if not isinstance(n, (Refinement, Fun)) and id(n) not in last] == []
+
+
+def test_check_trace_of_a_deep_classic_loop_does_not_recurse():
+    # 300 pending casts around the redex: re-typing them top-down at every
+    # step overflowed the default recursion limit
+    assert check_trace(Mode.CLASSIC, _loop_trace(Mode.CLASSIC, 300)) == []
+
+
+def test_check_trace_rules_per_term_do_not_grow_with_depth(monkeypatch):
+    # a count of typing rules, not a timing: classic re-typed every pending
+    # cast at every step, 39 rules per term at n = 25 and 64 at n = 50
+    rules = []
+    for name in ("_infer_rule", "_check_rule"):
+        rule = getattr(Checker, name)
+        monkeypatch.setattr(Checker, name, lambda self, *a, rule=rule: rules.append(name) or rule(self, *a))
+    per_term = []
+    for n in (25, 50):
+        rules.clear()
+        terms = list(_loop_trace(Mode.CLASSIC, n))
+        assert check_trace(Mode.CLASSIC, terms) == []
+        per_term.append(len(rules) / len(terms))
+    assert abs(per_term[1] - per_term[0]) <= 1, per_term
 
 
 def test_checker_memo_keeps_expected_types_apart():
