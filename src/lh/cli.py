@@ -154,7 +154,7 @@ def cmd_run(args) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    meter = Meter(series=True) if args.space else None
+    meter = Meter(series=args.json) if args.space else None  # only --json prints the series
     out = mach.eval(term, args.budget, trace=args.trace, observer=meter)
 
     if args.json:

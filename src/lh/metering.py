@@ -16,7 +16,14 @@ its other children.  Nothing outside a hole changes while the machine works
 inside it, so a pop only drops the top summary, and a step's stats combine the
 top summary with the new focus's measures.  `live_types` counts distinct
 keys, so the union of the two key sets gives it exactly; a frame that adds no
-key shares its parent's set.
+key shares its parent's set, as `_with_keys` returns a set that already holds
+the other one.
+
+A step is straight-line code: it unpacks the top summary and the focus's
+measures (a constant, variable or blame focus is `_LEAF`, without a walk),
+compares a few integers and tests one key set against another.  It rebuilds
+the peak only when some counter goes above it, and builds a `SpaceStats` only
+for the series.
 """
 
 from __future__ import annotations
@@ -28,13 +35,16 @@ from .semantics import Context, Frame, Outcome, machine
 from .syntax import (
     Abs,
     ActiveCheck,
+    Blame,
     Cast,
     Coerce,
     CoercionStack,
+    Const,
     Mode,
     Refs,
     HOLDERS,
     Term,
+    Var,
     canon,
     children,
     held_types,
@@ -80,14 +90,15 @@ _NO_KEYS: frozenset = frozenset()
 _LEAF = Measures(0, 0, 0, -1, 0, 0, _NO_KEYS)
 
 
-def _own(e: Term) -> tuple[frozenset, int, int]:
-    """(type keys, pending, reflist length) a `HOLDERS` node adds to its subterms'."""
+def _own(e: Term, keys: frozenset) -> tuple[frozenset, int, int]:
+    """(keys extended by a `HOLDERS` node's own type keys, pending, reflist
+    length): what the node adds to its subterms' or to its context's."""
 
     whole, alone = held_types(e)
-    # a node holding one type reuses that type's cached keys
-    keys = type_keys(whole[0]) if len(whole) == 1 else frozenset().union(*map(type_keys, whole))
+    for t in whole:
+        keys = _with_keys(keys, type_keys(t))
     if alone:
-        keys = keys.union(map(canon, alone))
+        keys = _with_keys(keys, frozenset(map(canon, alone)))
     if isinstance(e, Cast):
         return keys, 1, _coercion_reflen(e.ann.coercion) if isinstance(e.ann, Coerce) else 0
     if isinstance(e, CoercionStack):
@@ -133,7 +144,7 @@ def measures(e: Term) -> Measures:
 def _combine(e: Term) -> Measures:
     kids = children(e)
     if isinstance(e, HOLDERS):
-        tkeys, pending, max_reflist = _own(e)
+        tkeys, pending, max_reflist = _own(e, _NO_KEYS)
     elif kids:
         tkeys, pending, max_reflist = _NO_KEYS, 0, 0
     else:
@@ -176,6 +187,8 @@ def space_stats(e: Term) -> SpaceStats:
 
 # the bottom of the stack: the empty context around the root
 _NO_FRAME: tuple = (_NO_KEYS, 0, 0, 0, 0, 0)
+# the classes `_combine` gives `_LEAF`
+_LEAVES = frozenset((Var, Const, Blame))
 
 
 class Meter:
@@ -198,50 +211,62 @@ class Meter:
     # observer events
 
     def start(self, root: Term) -> None:
-        self._peak = self._snapshot(root)
+        self.step(None, None, root, root)
 
     def push(self, frame: Frame, child: Term) -> None:
         keys, pending, chain, suffix, proxy, reflist = self._frames[-1]
         orig = frame.orig
         if isinstance(orig, HOLDERS):
-            own_keys, own_pending, own_reflist = _own(orig)
-            keys = _with_keys(keys, own_keys)
+            keys, own_pending, own_reflist = _own(orig, keys)
             pending += own_pending
-            reflist = max(reflist, own_reflist)
-        if isinstance(orig, Cast):
-            suffix += 1
-        else:
-            chain, suffix = max(chain, suffix), 0
+            if own_reflist > reflist:
+                reflist = own_reflist
+        if type(orig) is Cast:  # its one child, the subject, is the hole
+            self._frames.append((keys, pending, chain, suffix + 1, proxy, reflist))
+            return
+        if suffix > chain:
+            chain = suffix
         for i, s in enumerate(children(orig)):
             if i == frame.index:
                 continue
-            m = measures(s)
-            keys = _with_keys(keys, m.tkeys)
-            pending += m.pending
-            chain = max(chain, m.max_chain)
-            proxy = max(proxy, m.max_proxy)
-            reflist = max(reflist, m.max_reflist)
-        self._frames.append((keys, pending, chain, suffix, proxy, reflist))
+            s_pending, _, s_chain, _, s_proxy, s_reflist, s_keys = measures(s)
+            keys = _with_keys(keys, s_keys)
+            pending += s_pending
+            if s_chain > chain:
+                chain = s_chain
+            if s_proxy > proxy:
+                proxy = s_proxy
+            if s_reflist > reflist:
+                reflist = s_reflist
+        self._frames.append((keys, pending, chain, 0, proxy, reflist))
 
     def pop(self, frame: Frame, child: Term, rebuilt: Term) -> None:
         self._frames.pop()
 
-    def step(self, rule: str, ctx: Context, old: Term, new: Term) -> None:
-        stats = self._snapshot(new)
-        self._peak = tuple(map(max, self._peak, stats))
-        if self.series is not None:
-            self.series.append((rule, SpaceStats(*stats)))
+    def step(self, rule: Optional[str], ctx: Context, old: Term, new: Term) -> None:
+        """Combine the top summary with the new focus's measures; `start`
+        passes no rule, and its root adds no series entry."""
 
-    def _snapshot(self, focus: Term) -> tuple[int, int, int, int, int]:
         keys, pending, chain, suffix, proxy, reflist = self._frames[-1]
-        m = measures(focus)
-        return (
-            pending + m.pending,
-            max(chain, suffix + m.top_chain, m.max_chain),
-            max(reflist, m.max_reflist),
-            max(proxy, m.max_proxy, (suffix + m.top_proxy) if m.top_proxy >= 0 else 0),
-            len(_with_keys(keys, m.tkeys)),
-        )
+        m = _LEAF if type(new) in _LEAVES else measures(new)
+        m_pending, top_chain, max_chain, top_proxy, max_proxy, max_reflist, m_keys = m
+        pending += m_pending
+        if suffix + top_chain > chain:
+            chain = suffix + top_chain
+        if max_chain > chain:
+            chain = max_chain
+        if max_reflist > reflist:
+            reflist = max_reflist
+        if max_proxy > proxy:
+            proxy = max_proxy
+        if top_proxy >= 0 and suffix + top_proxy > proxy:
+            proxy = suffix + top_proxy
+        live = len(keys if m_keys <= keys else keys | m_keys)
+        peak = self._peak
+        if pending > peak[0] or chain > peak[1] or reflist > peak[2] or proxy > peak[3] or live > peak[4]:
+            self._peak = tuple(map(max, peak, (pending, chain, reflist, proxy, live)))
+        if self.series is not None and rule is not None:
+            self.series.append((rule, SpaceStats(pending, chain, reflist, proxy, live)))
 
 
 def eval_metered(

@@ -93,6 +93,24 @@ def test_run_json_with_trace_and_space(capsys):
     assert payload["space"]["max"]["chain"] == 3
 
 
+def test_run_space_text_keeps_no_series(capsys, monkeypatch):
+    meters = []
+    real = cli.Meter
+
+    def recording(**kwargs):
+        meters.append(real(**kwargs))
+        return meters[-1]
+
+    monkeypatch.setattr(cli, "Meter", recording)
+    for mode in ("classic", "forgetful", "heedful", "eidetic"):
+        _, text = run_cli(capsys, "run", FACT, "--mode", mode, "--space")
+        _, js = run_cli(capsys, "run", FACT, "--mode", mode, "--space", "--json")
+        text_meter, json_meter = meters[-2:]
+        assert text_meter.series is None and json_meter.series, mode
+        peak = json.loads(js)["space"]["max"]
+        assert "max " + " ".join(f"{k}={v}" for k, v in peak.items()) in text.splitlines(), mode
+
+
 def test_diff_command(capsys):
     code, out = run_cli(capsys, "diff", TRIPLE)
     payload = json.loads(out)

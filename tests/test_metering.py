@@ -134,9 +134,12 @@ def test_meter_matches_direct_stats_generated(seed, size):
         out, mx, series = eval_metered(mode, e, 10_000, series=True)
         traced = eval_term(mode, e, 10_000, trace=True)
         terms = traced.trace_terms()
+        acc = space_stats(terms[0])
         for (rule, stats), term in zip(series, terms[1:]):
             assert stats == space_stats(term), (mode, rule)
             assert stats.live_types == len(type_keys(term)), (mode, rule)
+            acc = acc.join(stats)
+        assert mx == acc, mode
 
 
 @settings(max_examples=40, deadline=None)
