@@ -3,8 +3,9 @@
 Exit codes of `run`: 0 value, 1 blame, 3 stuck, 4 budget exceeded.  `diff`
 and `fuzz` exit 0 when every check passes and 1 when one fails.  Every
 command exits 2 on an input error: a program or --axioms file that cannot be
-read, parsed or typed, an unwritable --out file, or an option value out of
-range.  A standard output closed by its reader (as by `| head`) ends the
+read, parsed or typed (a program nested too deeply for the recursive parser
+or typechecker included), an unwritable --out file, or an option value out
+of range.  A standard output closed by its reader (as by `| head`) ends the
 command quietly with exit code 1.  The LH_BUDGET environment variable
 overrides the default step budget when --budget is not given.
 """
@@ -30,7 +31,7 @@ from .semantics import (
     axiom_oracle,
 )
 from .surface import ParseError, parse, parse_type, print_term, print_type
-from .syntax import Mode, Refinement, Term
+from .syntax import Mode, Refinement, Term, Type
 from .typecheck import TypeCheckError, check_source
 
 DEFAULT_BUDGET = 100_000
@@ -77,7 +78,7 @@ def _load_oracle(path: Optional[str]) -> ImplicationOracle:
     for lhs, rhs in raw_pairs:
         try:
             t1, t2 = parse_type(lhs), parse_type(rhs)
-        except ParseError as exc:
+        except (ParseError, RecursionError) as exc:  # the parser recurses on nesting
             raise InputError(f"axioms {path}: {exc}") from exc
         if not (isinstance(t1, Refinement) and isinstance(t2, Refinement)):
             raise InputError(f"axioms {path}: a pair must relate two refinement types")
@@ -85,13 +86,19 @@ def _load_oracle(path: Optional[str]) -> ImplicationOracle:
     return axiom_oracle(pairs)
 
 
-def _read_program(path: str) -> Term:
+def _read_program(path: str) -> tuple[Term, Type]:
+    """The program in path, typed under the source discipline, and its type."""
+
     try:
         with open(path) as fh:
             text = fh.read()
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse(text)
+    try:
+        term = parse(text)
+        return term, check_source(term)
+    except RecursionError as exc:
+        raise InputError(f"{path}: program nested too deeply ({exc})") from exc
 
 
 _INPUT_ERRORS = (InputError, ParseError, TypeCheckError)
@@ -129,7 +136,7 @@ def _print_outcome(out: Outcome) -> None:
 
 def cmd_check(args) -> int:
     try:
-        ty = check_source(_read_program(args.file))
+        _, ty = _read_program(args.file)
     except _INPUT_ERRORS as exc:
         if args.json:
             print(json.dumps({"ok": False, "error": str(exc)}))
@@ -145,8 +152,7 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        term = _read_program(args.file)
-        check_source(term)
+        term, _ = _read_program(args.file)
         mach = Machine(args.mode, oracle=_load_oracle(args.axioms), choose_policy=args.choose)
     except _INPUT_ERRORS as exc:
         if args.json:
@@ -182,8 +188,7 @@ def cmd_run(args) -> int:
 
 def cmd_diff(args) -> int:
     try:
-        term = _read_program(args.file)
-        check_source(term)
+        term, _ = _read_program(args.file)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -1,6 +1,10 @@
 """Differential testing: generate well-typed source programs, run them under
 all four modes, and check the cross-mode relationships plus per-trace
-invariants (preservation, type monotonicity, merge priority).
+invariants (preservation and type monotonicity).
+
+Merge priority, that a cast over a cast merges before anything else happens
+to it, is a property of one local rule, `Machine._cast`; the tests check it
+against the machine directly rather than along traces.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import semantics
-from .semantics import Outcome, OutcomeKind, machine, merge
+from .semantics import Outcome, OutcomeKind
 from .surface import parse, print_term
 from .syntax import (
     ALL_MODES,
@@ -302,8 +306,8 @@ def diff_modes(e: Term, budget: int = 10_000) -> DiffReport:
 
 
 def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
-    """Findings for preservation, type monotonicity, and merge priority along
-    an evaluation trace (first element is the initial term).
+    """Findings for preservation and type monotonicity along an evaluation
+    trace (first element is the initial term).
 
     `terms` may be any iterable, such as a generator over a trace's steps;
     only the current and the previous term are held.  Their nodes live in
@@ -311,11 +315,10 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     again when it leaves, so a term costs time in proportion to the nodes
     the step rebuilt.  The table keeps the type keys of the live nodes
     counted, so that types grew exactly when entering a term raised a key's
-    count from zero, and the live casts over a mergeable cast pair that the
-    machine would not merge first.  One checker serves the whole trace; a
-    node's judgments are forgotten when the node leaves the table, so a node
-    that a step did not rebuild is checked only once; one that a step
-    rebuilt at one child takes over its counterpart's (`Checker.carry`)."""
+    count from zero.  One checker serves the whole trace; a node's judgments
+    are forgotten when the node leaves the table, so a node that a step did
+    not rebuild is checked only once; one that a step rebuilt at one child
+    takes over its counterpart's (`Checker.carry`)."""
 
     terms = iter(terms)
     first = next(terms, None)
@@ -328,7 +331,7 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
         return [f"step 0: initial term does not typecheck: {exc}"]
 
     findings: list[str] = []
-    live = _LiveNodes(mode)
+    live = _LiveNodes()
     prev = None
     for i, term in enumerate(itertools.chain((first,), terms)):
         grew, spine = live.enter(term, prev)
@@ -341,10 +344,6 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
             if grew:
                 findings.append(f"step {i}: types grew along the trace")
             checker.forget(live.leave(prev))
-        if live.unmerged:
-            # once per occurrence, as a walk over the subterms meets them
-            unmerged = sum(1 for sub in subterms(term) if sub in live.unmerged)
-            findings += [f"step {i}: mergeable cast pair did not merge first"] * unmerged
         prev = term
     return findings
 
@@ -358,16 +357,15 @@ class _LiveNodes:
     whole.  `keys` counts, per type key, the type objects in `holders` that
     carry it plus the refinement-list entries with that key that live nodes
     hold, so the keys with a count are `type_keys` of the live terms.
-    `unmerged` holds the live casts over a mergeable cast pair that the
-    machine would not merge first."""
 
-    def __init__(self, mode: Mode):
-        self.mach = machine(mode)
-        self.pairs = mode is not Mode.CLASSIC  # classic never merges casts
+    A node that a step rebuilt at one child takes over its counterpart's
+    children and held types (`enter`), so only the nodes the step created
+    anew are read with `children` and `held_types`."""
+
+    def __init__(self):
         self.table: dict[Term, list] = {}
         self.holders: dict[Type, int] = {}
         self.keys: dict[str, int] = {}
-        self.unmerged: set[Term] = set()
 
     def enter(self, root: Term, prev: Optional[Term]) -> tuple[bool, list]:
         """Count one more term rooted at root, adding the nodes that are not
@@ -393,8 +391,6 @@ class _LiveNodes:
                 holders[t] += 1
             for ref in held[1]:
                 keys[canon(ref)] += 1
-            if self.pairs and type(node) is Cast and type(kid) is Cast and self._unmerged(node):
-                self.unmerged.add(node)
             spine.append((prev, node, i, kid))
             node, prev = kid, kids[i]
 
@@ -421,17 +417,7 @@ class _LiveNodes:
                         grew = _acquire(keys, key) or grew
             for ref in alone:
                 grew = _acquire(keys, canon(ref)) or grew
-            if self.pairs and isinstance(node, Cast) and isinstance(node.subject, Cast) and self._unmerged(node):
-                self.unmerged.add(node)
         return grew, spine
-
-    def _unmerged(self, cast: Cast) -> bool:
-        inner = cast.subject
-        mach = self.mach
-        if merge(mach.mode, inner.src, inner.ann, inner.tgt, cast.ann, cast.tgt, mach.oracle) is None:
-            return False
-        act = mach._local(cast)
-        return not (act[0] == "step" and act[2] == "E-CastMergeE")
 
     def leave(self, root: Term) -> list[Term]:
         """Count one term rooted at root less; drop and return every node
@@ -462,7 +448,6 @@ class _LiveNodes:
                     _release(keys, key)
             for ref in alone:
                 _release(keys, canon(ref))
-            self.unmerged.discard(node)
         return dropped
 
 

@@ -1,8 +1,8 @@
 """Abstract syntax shared by every other module.
 
 Terms, types, cast annotations, coercions and the structural measures
-(substitution, alpha-equivalence, type extraction, height, size).  All values
-are immutable after construction and safe to share between threads.
+(substitution, alpha-equivalence, type extraction).  All values are
+immutable after construction and safe to share between threads.
 
 Term shape is written down once, here: `children(e)` lists a term node's
 immediate subterms, `with_child(e, i, c)` rebuilds e with c as its i-th
@@ -193,10 +193,6 @@ class TypeSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, t: Type) -> bool:
-        key = canon(t)
-        return any(canon(m) == key for m in self.members)
 
     def union(self, other: "TypeSet") -> "TypeSet":
         return TypeSet.of(self.members + other.members)
@@ -748,11 +744,12 @@ def alpha_eq(a: Node, b: Node) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Type extraction, height, size
+# Type extraction
 
 
 def type_keys(node: Node) -> frozenset[str]:
-    """Canonical keys of types_of(node); a term's are the union of its held types' keys."""
+    """Canonical keys of every type (with its structural parts) occurring in
+    node; a term's are the union of its held types' keys."""
 
     cached = getattr(node, "_tkeys", None)
     if cached is not None:
@@ -767,38 +764,19 @@ def type_keys(node: Node) -> frozenset[str]:
     return _cache(node, "_tkeys", frozenset(keys))
 
 
-def types_of(e: Node) -> TypeSet:
-    """All types (with their structural subparts) occurring in e."""
+def _types_in(node: Node) -> set[str]:
+    """Canonical keys of every type occurring in node, on an explicit stack."""
 
-    return TypeSet.of(_types_in(e).values())
-
-
-def _types_in(node: Node) -> dict[str, Type]:
-    """Canonical key -> type for every type occurring in node, on an explicit stack."""
-
-    found: dict[str, Type] = {}
+    found: set[str] = set()
     todo: list[Node] = [node]
     while todo:
         n = todo.pop()
         if isinstance(n, (Refinement, Fun)):
-            found.setdefault(canon(n), n)
+            found.add(canon(n))
             todo += (n.cod, n.dom) if isinstance(n, Fun) else (n.predicate,)
         else:
             for e in subterms(n):
                 whole, alone = held_types(e)
                 todo += whole
-                for ref in alone:
-                    found.setdefault(canon(ref), ref)
+                found.update(map(canon, alone))
     return found
-
-
-def height(t: Type) -> int:
-    if isinstance(t, Refinement):
-        return 1
-    return 1 + max(height(t.dom), height(t.cod))
-
-
-def term_size(e: Term) -> int:
-    """Node count of the term proper; types and annotations are not counted."""
-
-    return sum(1 for _ in subterms(e))

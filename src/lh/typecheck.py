@@ -33,10 +33,13 @@ passes; elsewhere (an application's function, a guard or branch, children
 of runtime forms, binder bodies) the node's rule is rerun against each type
 the old node had.  The check of the whole term then hits the memo at the root.
 
-Premise and replay verdicts (does a predicate instance evaluate to `true`,
-does an active check's state follow from its predicate) are shared by all
+One replay answers both runtime questions about predicates: does a
+predicate instance step to `true` (a premise), and does an active check's
+state follow from its predicate.  It takes at most `budget` steps of the
+reference stepper, as `Machine.eval` would.  Its verdicts are shared by all
 checkers in a process, keyed by (mode, oracle, budget, canonical terms), and
-hold at most `VERDICT_CACHE_LIMIT` entries each, evicting the oldest first.
+the cache holds at most `VERDICT_CACHE_LIMIT` of them, evicting the oldest
+first.
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from . import semantics
-from .semantics import DEFAULT_ORACLE, ImplicationOracle, Machine, OutcomeKind, implies
+from .semantics import DEFAULT_ORACLE, OPS, ImplicationOracle, IsBlame, Machine, Stepped, implies
 from .syntax import (
     ALL_MODES,
     Abs,
@@ -63,6 +65,7 @@ from .syntax import (
     Fun,
     Mode,
     Op,
+    RefEntry,
     Refinement,
     Refs,
     Status,
@@ -100,35 +103,14 @@ class TypeCheckError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Operation and constant signatures
-
-RAW_INT = raw(BaseType.INT)
-RAW_BOOL = raw(BaseType.BOOL)
-NONZERO = Refinement("y", BaseType.INT, Op("<>", (Var("y"), Const(0))))
-
-_OP_SIGS: dict[str, tuple[tuple[Refinement, ...], Refinement]] = {
-    "not": ((RAW_BOOL,), RAW_BOOL),
-    "&&": ((RAW_BOOL, RAW_BOOL), RAW_BOOL),
-    "||": ((RAW_BOOL, RAW_BOOL), RAW_BOOL),
-    "=": ((RAW_INT, RAW_INT), RAW_BOOL),
-    "<>": ((RAW_INT, RAW_INT), RAW_BOOL),
-    "<": ((RAW_INT, RAW_INT), RAW_BOOL),
-    "<=": ((RAW_INT, RAW_INT), RAW_BOOL),
-    ">": ((RAW_INT, RAW_INT), RAW_BOOL),
-    ">=": ((RAW_INT, RAW_INT), RAW_BOOL),
-    "+": ((RAW_INT, RAW_INT), RAW_INT),
-    "-": ((RAW_INT, RAW_INT), RAW_INT),
-    "*": ((RAW_INT, RAW_INT), RAW_INT),
-    # the domain refinements exactly guard the denotation's partiality
-    "div": ((RAW_INT, NONZERO), RAW_INT),
-    "mod": ((RAW_INT, NONZERO), RAW_INT),
-}
+# Operation signatures
 
 
 def op_signature(name: str) -> tuple[tuple[Refinement, ...], Refinement]:
-    if name not in _OP_SIGS:
+    op = OPS.get(name)
+    if op is None:
         raise TypeCheckError(OP_ARITY, "", f"unknown operation {name!r}")
-    return _OP_SIGS[name]
+    return op[0], op[1]
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +134,9 @@ def similar(t1: Type, t2: Type) -> bool:
 # verdict depends on the mode, the oracle and the budget, and all three are
 # part of the key.
 VERDICT_CACHE_LIMIT = 4096
-_PREMISE_CACHE: dict[tuple[Mode, ImplicationOracle, int, str], Union[bool, str]] = {}
 _REPLAY_CACHE: dict[tuple[Mode, ImplicationOracle, int, str, str], Union[bool, str]] = {}
+
+_TRUE = Const(True)  # the goal of a premise, one node so that its canon is cached
 
 
 # judgment keys in the checker memo, besides expected type objects
@@ -194,46 +177,33 @@ class Checker:
         else:
             facts[key] = result
 
-    # -- premise evaluation
-
-    def _evals_true(self, instance: Term, path: str) -> bool:
-        key = (self.mode, self.oracle, self.budget, canon(instance))
-        hit = _PREMISE_CACHE.get(key)
-        if hit is None:
-            outcome = Machine(self.mode, self.oracle).eval(instance, self.budget)
-            if outcome.kind is OutcomeKind.BUDGET:
-                hit = "budget"
-            else:
-                hit = outcome.kind is OutcomeKind.VALUE and isinstance(outcome.term, Const) and outcome.term.value is True
-            _remember(_PREMISE_CACHE, key, hit)
-        if hit == "budget":
-            raise TypeCheckError(NOT_SIMILAR, path, "predicate evaluation exceeded the step budget")
-        return bool(hit)
+    # -- predicate replay
 
     def _reaches(self, start: Term, goal: Term, path: str) -> bool:
+        """Whether start steps to goal (up to alpha) in at most `budget`
+        steps, as `Machine.eval` would run it; a premise is `_reaches(instance,
+        _TRUE, path)`."""
+
         key = (self.mode, self.oracle, self.budget, canon(start), canon(goal))
         hit = _REPLAY_CACHE.get(key)
         if hit is None:
             hit = self._replay(start, goal)
             _remember(_REPLAY_CACHE, key, hit)
         if hit == "budget":
-            raise TypeCheckError(NOT_SIMILAR, path, "predicate replay exceeded the step budget")
+            raise TypeCheckError(NOT_SIMILAR, path, "predicate evaluation exceeded the step budget")
         return bool(hit)
 
     def _replay(self, start: Term, goal: Term) -> Union[bool, str]:
         mach = Machine(self.mode, self.oracle)
-        term = start
-        for _ in range(self.budget):
-            if alpha_eq(term, goal):
-                return True
+        term, steps = start, 0
+        while not alpha_eq(term, goal):
             out = mach.step(term)
-            if isinstance(out, semantics.Stepped):
-                term = out.term
-                continue
-            if isinstance(out, semantics.IsBlame):
-                return isinstance(goal, Blame) and goal.label == term.label
-            return alpha_eq(term, goal)
-        return "budget"
+            if not isinstance(out, Stepped):
+                return isinstance(out, IsBlame) and isinstance(goal, Blame) and goal.label == out.label
+            if steps == self.budget:
+                return "budget"
+            term, steps = out.term, steps + 1
+        return True
 
     # -- well-formedness
 
@@ -277,15 +247,7 @@ class Checker:
         if isinstance(c, Refs):
             if not (isinstance(t1, Refinement) and isinstance(t2, Refinement)):
                 raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "refinement list on a function cast")
-            seen: set[str] = set()
-            for entry in c.entries:
-                if not (isinstance(entry.ref, Refinement) and entry.ref.base is t2.base):
-                    raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "refinement list entry at the wrong base type")
-                self.wf_type(entry.ref, path + "/entry")
-                key = canon(entry.ref)
-                if key in seen:
-                    raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "duplicate refinement in list")
-                seen.add(key)
+            self._wf_reflist(c.entries, t2.base, path, "refinement list")
             if not any(implies(self.oracle, entry.ref, t2) for entry in c.entries):
                 raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "no entry implies the target refinement")
             return
@@ -293,6 +255,19 @@ class Checker:
             raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "function coercion on a refinement cast")
         self._wf_coercion(c.dom, t2.dom, t1.dom, path + "/dom")
         self._wf_coercion(c.cod, t1.cod, t2.cod, path + "/cod")
+
+    def _wf_reflist(self, entries: tuple[RefEntry, ...], base: BaseType, path: str, what: str) -> None:
+        """Each entry a well-formed refinement at base, none twice."""
+
+        seen: set[str] = set()
+        for entry in entries:
+            if not (isinstance(entry.ref, Refinement) and entry.ref.base is base):
+                raise TypeCheckError(ILL_FORMED_ANNOTATION, path, f"{what} entry at the wrong base type")
+            self.wf_type(entry.ref, path + "/entry")
+            key = canon(entry.ref)
+            if key in seen:
+                raise TypeCheckError(ILL_FORMED_ANNOTATION, path, f"duplicate refinement in {what}")
+            seen.add(key)
 
     # -- typing
 
@@ -405,7 +380,7 @@ class Checker:
                 if source:
                     raise TypeCheckError(SOURCE_VIOLATION, path, "source constants have raw types")
                 self.wf_type(t, path)
-                if not self._evals_true(subst(t.predicate, t.binder, e), path):
+                if not self._reaches(subst(t.predicate, t.binder, e), _TRUE, path):
                     raise TypeCheckError(NOT_SIMILAR, path, "constant does not satisfy the refinement")
                 return
             if isinstance(e, Blame):
@@ -489,15 +464,7 @@ class Checker:
         self.wf_type(e.tgt, path + "/tgt")
         if e.scrutinee.base is not e.tgt.base:
             raise TypeCheckError(NOT_SIMILAR, path, "stack scrutinee at the wrong base type")
-        seen: set[str] = set()
-        for entry in e.pending:
-            if entry.ref.base is not e.tgt.base:
-                raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "stack entry at the wrong base type")
-            self.wf_type(entry.ref, path + "/entry")
-            key = canon(entry.ref)
-            if key in seen:
-                raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "duplicate refinement in stack")
-            seen.add(key)
+        self._wf_reflist(e.pending, e.tgt.base, path, "stack")
         if isinstance(e.current, Blame):
             pass  # a failed inner check raises out of the stack on the next step
         elif isinstance(e.current, ActiveCheck):
@@ -514,9 +481,7 @@ class Checker:
             in_flight = isinstance(e.current, Blame) or (
                 isinstance(e.current, ActiveCheck) and alpha_eq(e.current.tgt, e.tgt)
             )
-            if not in_flight and not self._evals_true(
-                subst(e.tgt.predicate, e.tgt.binder, e.scrutinee), path
-            ):
+            if not in_flight and not self._reaches(subst(e.tgt.predicate, e.tgt.binder, e.scrutinee), _TRUE, path):
                 raise TypeCheckError(NOT_SIMILAR, path, "checked status but the target predicate fails")
         return e.tgt
 

@@ -205,13 +205,33 @@ def test_missing_program_file_is_an_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
+    [" + ".join(["1"] * 3_000), "(" * 600 + "1" + ")" * 600],
+    ids=["long-sum", "deep-parens"],
+)
+def test_too_deeply_nested_program_is_an_input_error(tmp_path, capsys, text):
+    # the parser and the typechecker recurse, and these nest deeper than
+    # the default recursion limit lets them reach
+    prog = tmp_path / "deep.lh"
+    prog.write_text(text)
+    for command in ("check", "run"):
+        assert main([command, str(prog)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main([command, str(prog), "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        validate(payload)
+        assert "nested too deeply" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "text",
     [
         "[[",
         json.dumps({"lhs": "{x:Int|true}"}),
         json.dumps([["{x:Int|x >", "{x:Int|true}"]]),
         json.dumps([["{x:Int|true} -> {x:Int|true}", "{x:Int|true}"]]),
+        json.dumps([["{x:Int|" + "(" * 600 + "x" + ")" * 600 + " >= 0}", "{x:Int|true}"]]),
     ],
-    ids=["bad-json", "not-pairs", "bad-type", "fn-type"],
+    ids=["bad-json", "not-pairs", "bad-type", "fn-type", "deep-type"],
 )
 def test_bad_axioms_file_is_an_input_error(tmp_path, capsys, text):
     axioms = tmp_path / "axioms.json"

@@ -7,6 +7,7 @@ from lh.harness import gen_source
 from lh.semantics import (
     IsBlame,
     IsValue,
+    Machine,
     OpUndefined,
     OutcomeKind,
     OverflowFault,
@@ -45,6 +46,7 @@ from lh.syntax import (
     alpha_eq,
     free_vars,
     subst,
+    subterms,
 )
 
 ANY = parse_type("{x:Int|true}")
@@ -117,7 +119,7 @@ def test_merge_modes():
     assert merge(Mode.CLASSIC, ANY, EMPTY_ANN, NAT, EMPTY_ANN, NZ) is None
     assert isinstance(merge(Mode.FORGETFUL, ANY, EMPTY_ANN, NAT, EMPTY_ANN, NZ), type(EMPTY_ANN))
     h = merge(Mode.HEEDFUL, ANY, Types(EMPTY_SET), NAT, Types(EMPTY_SET), NZ)
-    assert isinstance(h, Types) and len(h.types) == 1 and NAT in h.types
+    assert isinstance(h, Types) and len(h.types) == 1 and alpha_eq(h.types.members[0], NAT)
     e = merge(Mode.EIDETIC, ANY, Coerce(coerce(ANY, NAT, "l1")), NAT, Coerce(coerce(NAT, NZ, "l2")), NZ)
     assert isinstance(e, Coerce) and len(e.coercion.entries) == 2
     assert merge(Mode.FORGETFUL, ANY, Types(EMPTY_SET), NAT, EMPTY_ANN, NZ) is None
@@ -374,6 +376,50 @@ def test_tracing_rebuilds_no_more_than_plain_eval(monkeypatch):
     traced = eval_term(Mode.CLASSIC, e, 100_000, trace=True)
     assert traced.steps == plain.steps > 2_000 and len(traced.trace) == traced.steps
     assert plain_calls > 0 and calls[0] <= plain_calls
+
+
+def _mergeable_pairs(programs):
+    """(mode, node) for each cast over a cast whose annotations merge, in the
+    clean traces of programs in the three merging modes."""
+
+    pairs = []
+    for mode in (Mode.FORGETFUL, Mode.HEEDFUL, Mode.EIDETIC):
+        seen = set()
+        for e in programs:
+            for term in eval_term(mode, e, 10_000, trace=True).trace_terms():
+                for node in subterms(term):
+                    if node in seen or type(node) is not Cast or type(node.subject) is not Cast:
+                        continue
+                    seen.add(node)
+                    inner = node.subject
+                    if merge(mode, inner.src, inner.ann, inner.tgt, node.ann, node.tgt) is not None:
+                        pairs.append((mode, node))
+    return pairs
+
+
+def _merges_first(mode, node):
+    act = machine(mode)._local(node)
+    return act[0] == "step" and act[2] == "E-CastMergeE"
+
+
+def test_a_mergeable_cast_pair_merges_before_anything_else(monkeypatch):
+    # merge priority: wherever it stands, a cast over a cast whose
+    # annotations merge has E-CastMergeE for its local rule
+    pairs = _mergeable_pairs([gen_source(seed, 4 + seed % 22) for seed in range(100)] + [_fact(6)])
+    assert {mode for mode, _ in pairs} == {Mode.FORGETFUL, Mode.HEEDFUL, Mode.EIDETIC}
+    assert len(pairs) >= 100
+    assert all(_merges_first(mode, node) for mode, node in pairs)
+    # a cast rule that steps the subject first breaks it (heedful and
+    # eidetic reach Machine._cast through their own cast rules)
+    cast = Machine._cast
+
+    def subject_first(self, e):
+        if self.is_value(e.subject):
+            return cast(self, e)
+        return ("descend", semantics.Frame(e, 0, e.subject))
+
+    monkeypatch.setattr(Machine, "_cast", subject_first)
+    assert not all(_merges_first(mode, node) for mode, node in pairs if mode is not Mode.FORGETFUL)
 
 
 class _CountingObserver:

@@ -23,7 +23,6 @@ from lh.syntax import (
     canon,
     children,
     free_vars,
-    height,
     held_types,
     is_raw,
     map_parts,
@@ -32,9 +31,7 @@ from lh.syntax import (
     raw,
     subst,
     subterms,
-    term_size,
     type_keys,
-    types_of,
     with_child,
 )
 
@@ -84,32 +81,20 @@ def test_typeset_dedups_modulo_alpha():
     t2 = parse("<{y:Int|y > 0} => {y:Int|true} @ l> 0").src
     s = TypeSet.of([t1, t2, RAW_INT])
     assert len(s) == 2
-    assert t1 in s and t2 in s
+    assert [canon(t) for t in s] == sorted({canon(t1), canon(RAW_INT)})
     assert len(s.remove(t2)) == 1
     assert len(s.add(t1)) == 2
 
 
 def test_types_of_e3(e3):
-    names = {canon(t) for t in types_of(e3)}
     srcs = ["{x:Int|true}", "{x:Int|x >= 0}", "{x:Int|x mod 2 = 0}", "{x:Int|x <> 0}"]
-    expected = {canon(parse(f"<{s} => {s} @ l> 0").src) for s in srcs}
-    assert names == expected
+    assert type_keys(e3) == {canon(parse(f"<{s} => {s} @ l> 0").src) for s in srcs}
 
 
 def test_types_of_includes_predicate_subterm_types():
     # a refinement whose predicate itself applies a cast contributes both types
     e = parse("<{x:Int|(\\y:{z:Int|z > 0}. true) 1} => {x:Int|true} @ l> 2")
-    assert len(types_of(e)) >= 3
-
-
-def test_height_and_term_size(e3):
-    assert height(RAW_INT) == 1
-    fun = parse("<{x:Int|true} -> {x:Int|true} => {x:Int|true} -> {x:Int|true} @ l> (\\x:{x:Int|true}. x)").src
-    assert height(fun) == 2
-    assert term_size(Const(5)) == 1
-    # cast(cast(cast(-1))) plus three predicates of sizes 1, 4, 4 inside types is
-    # not counted: term_size counts term nodes only
-    assert term_size(e3) == 4
+    assert len(type_keys(e)) >= 3
 
 
 def test_structural_folds_handle_deep_terms():
@@ -120,8 +105,6 @@ def test_structural_folds_handle_deep_terms():
     for i in range(5_000):
         e = Op("+", (Cast(RAW_INT, EMPTY_ANN, nat, f"l{i}", e), Const(1)))
     assert type_keys(e) == {canon(RAW_INT), canon(nat)}
-    assert {canon(t) for t in types_of(e)} == {canon(RAW_INT), canon(nat)}
-    assert term_size(e) == 3 * 5_000 + 1
     stats = space_stats(e)
     assert stats.pending == 5_000 and stats.live_types == 2
 

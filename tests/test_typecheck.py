@@ -4,6 +4,7 @@ from conftest import load_example
 from lh.surface import parse, parse_type
 from lh.syntax import (
     ALL_MODES,
+    ActiveCheck,
     BaseType,
     Blame,
     Cast,
@@ -171,14 +172,20 @@ def test_corrupted_stack_rejected(e3):
 
 
 def test_budget_order_does_not_change_the_verdict():
-    # the predicate needs more than two steps; a premise verdict reached
-    # under a small budget must not be reused under a larger one
+    # the premise on 5 takes three steps, (5 + 1) - 1 >= 0 to 5 - 1 >= 0 to
+    # 5 >= 0 to true, and so does the active check in that last state: both
+    # pass with a budget of three and fail with two, and a verdict reached
+    # under one budget is never reused under another
     ty = parse_type("{x:Int|(x + 1) - 1 >= 0}")
-    for budgets in ((2, 10_000), (10_000, 2)):
+    done = ActiveCheck(ty, Const(True), Const(5), "l")
+    for budgets in ((2, 3, 10_000), (10_000, 3, 2)):
         for budget in budgets:
             checker = Checker(Mode.CLASSIC, budget=budget)
             if budget == 2:
                 with pytest.raises(TypeCheckError, match="exceeded the step budget"):
                     checker.check({}, Const(5), ty)
+                with pytest.raises(TypeCheckError, match="exceeded the step budget"):
+                    checker.infer({}, done)
             else:
                 checker.check({}, Const(5), ty)
+                assert checker.infer({}, done) is ty
