@@ -1,6 +1,7 @@
 """Command-line driver: check, run, diff and fuzz over `.lh` files.
 
-Exit codes of `run`: 0 value, 1 blame, 3 stuck, 4 budget exceeded.  `diff`
+Exit codes of `run`: 0 value, 1 blame, 3 stuck, 4 budget exceeded, 5 a term
+nested too deeply to evaluate or print (Python's recursion limit).  `diff`
 and `fuzz` exit 0 when every check passes and 1 when one fails.  Every
 command exits 2 on an input error: a program or --axioms file that cannot be
 read, parsed or typed (a program nested too deeply for the recursive parser
@@ -41,6 +42,7 @@ EXIT_BLAME = 1
 EXIT_INPUT_ERROR = 2
 EXIT_STUCK = 3
 EXIT_BUDGET = 4
+EXIT_TOO_DEEP = 5
 
 
 class InputError(Exception):
@@ -154,35 +156,37 @@ def cmd_run(args) -> int:
     try:
         term, _ = _read_program(args.file)
         mach = Machine(args.mode, oracle=_load_oracle(args.axioms), choose_policy=args.choose)
-    except _INPUT_ERRORS as exc:
+        meter = Meter(series=args.json) if args.space else None  # only --json prints the series
+        out = mach.eval(term, args.budget, trace=args.trace, observer=meter)
         if args.json:
-            print(json.dumps({"error": str(exc)}))
+            payload = {
+                "mode": args.mode.value,
+                "budget": args.budget,
+                "result": _outcome_dict(out),
+            }
+            if args.trace:
+                payload["trace"] = [
+                    {"step": s.index, "rule": s.rule, "term": print_term(s.term)} for s in out.trace
+                ]
+            if meter is not None:
+                payload["space"] = {"max": meter.max.as_dict(), "series": series_json(meter.series)}
+            print(json.dumps(payload, indent=2))
         else:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    meter = Meter(series=args.json) if args.space else None  # only --json prints the series
-    out = mach.eval(term, args.budget, trace=args.trace, observer=meter)
-
-    if args.json:
-        payload = {
-            "mode": args.mode.value,
-            "budget": args.budget,
-            "result": _outcome_dict(out),
-        }
-        if args.trace:
-            payload["trace"] = [
-                {"step": s.index, "rule": s.rule, "term": print_term(s.term)} for s in out.trace
-            ]
-        if meter is not None:
-            payload["space"] = {"max": meter.max.as_dict(), "series": series_json(meter.series)}
-        print(json.dumps(payload, indent=2))
-    else:
-        if args.trace:
-            for s in out.trace:
-                print(f"{s.index:6d} {s.rule}")
-        if meter is not None:
-            print("max " + " ".join(f"{k}={v}" for k, v in meter.max.as_dict().items()))
-        _print_outcome(out)
+            if args.trace:
+                for s in out.trace:
+                    print(f"{s.index:6d} {s.rule}")
+            if meter is not None:
+                print("max " + " ".join(f"{k}={v}" for k, v in meter.max.as_dict().items()))
+            _print_outcome(out)
+    except (*_INPUT_ERRORS, RecursionError) as exc:
+        # _read_program reports a program too deep to parse or type as an input error
+        deep = isinstance(exc, RecursionError)
+        message = f"term nested too deeply ({exc})" if deep else str(exc)
+        if args.json:
+            print(json.dumps({"error": message}))
+        else:
+            print(f"error: {message}", file=sys.stderr)
+        return EXIT_TOO_DEEP if deep else EXIT_INPUT_ERROR
     return _outcome_exit(out)
 
 

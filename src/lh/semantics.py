@@ -24,7 +24,8 @@ closed value in renames no binder, so reusing the body skips no `fresh_name`
 call and every printed name stays the same.  A `Fix` with a free variable
 (only a term built directly holds one) is unrolled afresh each time.  The
 body depends on the node alone, not on the mode, and what the meter and the
-trace checker cache on its nodes depends on those nodes alone.
+trace checker cache on its nodes depends on those nodes alone.  `E-Beta` of a
+constant runs the lambda's plan from that body (`syntax.unroll`), if any.
 
 A traced run records one `TraceStep` per step, holding the step index, the
 rule, and the context and focus just after the step: O(1) work and memory per
@@ -435,10 +436,11 @@ class Machine:
     # -- value judgment
 
     def is_value(self, e: Term) -> bool:
-        kind = type(e)
-        if kind is Cast:
-            return type(e.src) is Fun and type(e.tgt) is Fun and self._proxy(self, e)
-        return kind is Const or kind is Abs
+        while type(e) is Cast:  # a proxy; classic stacks them, as many as a loop runs
+            if type(e.src) is not Fun or type(e.tgt) is not Fun or not self._proxy(self, e):
+                return False
+            e = e.subject
+        return type(e) is Const or type(e) is Abs
 
     # -- local rules: what happens at a node of each class, ignoring its context
 
@@ -459,7 +461,8 @@ class Machine:
         if not self.is_value(arg):
             return (_DESCEND, Frame(e, 1, arg))
         if type(fn) is Abs:
-            return (_STEP, subst(fn.body, fn.binder, arg), "E-Beta")
+            plan = type(arg) is Const and getattr(fn, "_plan", None)
+            return (_STEP, plan(fn.body, arg) if plan else subst(fn.body, fn.binder, arg), "E-Beta")
         if type(fn) is Cast:
             return (_STEP, self._unwrap(fn, arg), "E-Unwrap")
         return (_STUCK, "application of a non-function value")
@@ -685,9 +688,10 @@ _RULES: dict[Mode, dict[type, Callable]] = {
     for mode in Mode
 }
 
-# When a cast between function types over a value is itself a value (a proxy).
+# Whether a cast between function types may stand as a proxy around its
+# subject, if the subject is a value: outside classic, only around a lambda.
 _PROXIES: dict[Mode, Callable[[Machine, Cast], bool]] = {
-    Mode.CLASSIC: lambda m, e: type(e.ann) is EmptyAnn and (type(e.subject) is Abs or m.is_value(e.subject)),
+    Mode.CLASSIC: lambda m, e: type(e.ann) is EmptyAnn,
     Mode.FORGETFUL: lambda m, e: type(e.ann) is EmptyAnn and type(e.subject) is Abs,
     Mode.HEEDFUL: lambda m, e: type(e.ann) is Types and type(e.subject) is Abs,
     Mode.EIDETIC: lambda m, e: (

@@ -25,6 +25,7 @@ with sigils (`blame l`, `check<...>`, `stack<...>`) that parse rejects.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -334,7 +335,7 @@ def elaborate(source: SourceFile) -> Term:
     for decl in reversed(source.decls):
         value = Fix(decl.name, decl.annot, decl.body) if decl.recursive else decl.body
         term = subst(term, decl.name, value)
-    return _unshadow(term, {}, set())
+    return _unshadow(term, {}, set(), itertools.count(1))
 
 
 def parse(text: str) -> Term:
@@ -352,8 +353,9 @@ def parse_type(text: str) -> Type:
     return t
 
 
-def _unshadow(node, env: dict[str, str], used: set[str]):
-    """Rename binders apart so no variable shadows another."""
+def _unshadow(node, env: dict[str, str], used: set[str], counter):
+    """Rename binders apart so no variable shadows another.  Fresh names are
+    numbered from counter, one per `elaborate` call, not per process."""
 
     if isinstance(node, Var):
         return Var(env.get(node.name, node.name))
@@ -363,15 +365,15 @@ def _unshadow(node, env: dict[str, str], used: set[str]):
     def scope(binder: str, part):
         renamed = binder
         if binder in used:
-            renamed = fresh_name(binder, frozenset(used) | frozenset(env.values()))
+            renamed = fresh_name(binder, frozenset(used) | frozenset(env.values()), counter)
         inner = {**env, binder: renamed}
         if isinstance(node, Refinement):
             # a refinement's binder is recorded as used for its own predicate only
-            return renamed, _unshadow(part, inner, used | {renamed})
+            return renamed, _unshadow(part, inner, used | {renamed}, counter)
         used.add(renamed)
-        return renamed, _unshadow(part, inner, used)
+        return renamed, _unshadow(part, inner, used, counter)
 
-    return map_parts(node, lambda part: _unshadow(part, env, used), scope)
+    return map_parts(node, lambda part: _unshadow(part, env, used, counter), scope)
 
 
 # ---------------------------------------------------------------------------

@@ -34,30 +34,34 @@ of each term hold.
 
 When the value `subst` puts in is known to be closed (a constant, or a node
 with an empty cached set, as nearly every value the machine substitutes is),
-each node it rebuilds gets fv(e) - {x} cached as it is built.  Without that,
-plain eval of the depth-300 tail loop in all four modes took 1.18x as long
-(medians of 20 interleaved runs, 2-core VM, Python 3.11): each substitution
-walked again the nodes the last one built.  On generated programs, where a
-substitution's result is seldom substituted into again, the cache costs
-about 1%.  `subst` does not walk a value to learn that it is closed; at
-parse time that would walk every fresh `let` body.
-
-When it puts a constant into a measured term, `subst` also copies the
-measures `metering` cached on each node (`_sm`) onto its copy: a constant
-measures like the variable it replaces.  Every term node of a measured term
-is measured, and types never are.  A type with x free (only a term built
-directly holds one) changes the keys of every node above it, so after an
-unmeasured node none is copied.  Plain eval, measuring nothing, copies none.
-
-`subst` maps parts with two closures, `go` for a part and `scope` for a
-binder's scope, and rebuilds no part whose cached free variables lack x.
-Without the closures (a state object's methods) it was no faster.
+each node it rebuilds gets fv(e) - {x} cached as it is built, so the next
+substitution into the result does not walk it again (without that, plain
+eval of the depth-300 tail loop took 1.18x as long before plans; 2-core VM,
+Python 3.11); on generated programs it costs about 1%.  It does not walk a
+value to learn that it is closed, which at parse time would walk every `let`
+body.  Putting a constant into a measured term, it copies the measures
+`metering` cached on each node (`_sm`): a constant measures like the
+variable it replaces.  Types are never measured, and a type with x free
+(only a term built directly holds one) changes the keys of every node above
+it, so after an unmeasured node none is copied.  `subst` maps parts with two
+closures, `go` and `scope`, and rebuilds no part whose cached free variables
+lack x; a state object's methods were no faster.
 
 `unroll(e)` is the body of a `Fix` with the `Fix` put in for its binder, one
-`E-Fix` step.  A closed `Fix` keeps it (`_unrolled`, beside `_fv`, `_canon`
-and `_sm`): substituting a closed value calls no `fresh_name`, and the body
-is the same for every mode and every iteration of a loop, which used to
-rebuild it at each `E-Fix`.
+`E-Fix` step.  A closed `Fix` keeps it (`_unrolled`): substituting a closed
+value calls no `fresh_name`, and the body is the same for every mode and
+every iteration of a loop.  Each lambda in that body gets a substitution
+plan (`_plan`) for its `E-Beta` with a constant, compiled once into a tree of
+closures (Feeley & Lapalme, *Using Closures for Code Generation*, 1987).  A
+plan rebuilds only the nodes on the paths to the binder x and reads every
+other part from the node it is given, without `subst`'s free-variable tests
+and part-map dispatch.  Each node it rebuilds gets fv(node) - {x}, the
+node's `_sm` (metered loops ran at 0.71x without that copy) and, for a
+lambda, its source's plan, so a plan also runs on the copy an earlier plan
+made.  Only a closed `Fix` body gets plans: each iteration of its loop runs
+them again, while a lambda elsewhere is mostly applied once, for less than
+a plan costs to compile.  A plan declines a type with x free on a path and
+any class it does not rebuild; `subst` handles those, and stays the reference.
 """
 
 from __future__ import annotations
@@ -549,10 +553,10 @@ def free_vars(node: Node) -> frozenset[str]:
     return _cache(node, "_fv", fv)
 
 
-def fresh_name(base: str, avoid: frozenset[str]) -> str:
+def fresh_name(base: str, avoid: frozenset[str], counter=None) -> str:
     root = base.rstrip("0123456789_") or "v"
     while True:
-        candidate = f"{root}_{next(_fresh_counter)}"
+        candidate = f"{root}_{next(counter or _fresh_counter)}"
         if candidate not in avoid:
             return candidate
 
@@ -609,7 +613,53 @@ def unroll(e: Fix) -> Term:
         return cached
     if free_vars(e):
         return subst(e.body, e.binder, e)
-    return _cache(e, "_unrolled", subst(e.body, e.binder, e))
+    body = _cache(e, "_unrolled", subst(e.body, e.binder, e))
+    for node in reversed(list(subterms(body))):  # inner lambdas first: a plan hands theirs on
+        if type(node) is Abs and not hasattr(node, "_plan"):
+            _cache(node, "_plan", _planned(node.body, node.binder))
+    return body
+
+
+def _keep(n, v):
+    return n
+
+
+# how a plan rebuilds a node of each class from its children's plans
+_PLAN_BUILDS = {
+    Abs: lambda p: lambda n, v: Abs(n.binder, n.annot, p[0](n.body, v)),
+    App: lambda p: lambda n, v: App(p[0](n.fn, v), p[1](n.arg, v)),
+    Op: lambda p: (lambda n, v: Op(n.name, (p[0](n.args[0], v), p[1](n.args[1], v))))
+    if len(p) == 2
+    else (lambda n, v: Op(n.name, tuple([f(a, v) for f, a in zip(p, n.args)]))),
+    Cast: lambda p: lambda n, v: Cast(n.src, n.ann, n.tgt, n.label, p[0](n.subject, v)),
+    Cond: lambda p: lambda n, v: Cond(p[0](n.guard, v), p[1](n.then, v), p[2](n.orelse, v)),
+}
+
+
+def _planned(e: Term, x: str):
+    """The plan `(n, c) -> subst(n, x, c)` for a constant c and a node n that is
+    e or a copy a plan made of it; None for a shape it leaves to `subst`."""
+
+    if x not in free_vars(e):
+        return _keep
+    if type(e) is Var:
+        return lambda n, v: v
+    parts = [_planned(c, x) for c in children(e)]
+    if type(e) not in _PLAN_BUILDS or None in parts or any(x in free_vars(t) for t in sum(held_types(e), ())):
+        return None
+    build, inner, gone = _PLAN_BUILDS[type(e)](parts), getattr(e, "_plan", None), {x}
+
+    def run(n, v):
+        out = build(n, v)
+        fv, sm = n._fv, getattr(n, "_sm", None)
+        object.__setattr__(out, "_fv", fv - gone if len(fv) > 1 else _NO_VARS)
+        if sm is not None:
+            object.__setattr__(out, "_sm", sm)
+        if inner is not None:
+            object.__setattr__(out, "_plan", inner)
+        return out
+
+    return run
 
 
 # ---------------------------------------------------------------------------

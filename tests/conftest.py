@@ -1,8 +1,10 @@
+import dataclasses
 import pathlib
 
 import pytest
 
 from lh.surface import parse
+from lh.syntax import Blame, Const, Var, map_parts
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -25,3 +27,11 @@ def examples_dir():
 
 def load_example(name: str):
     return parse((EXAMPLES / name).read_text())
+
+
+def uncached(node):
+    """A copy of a term or type that shares no node with it, so nothing is cached on it."""
+
+    if isinstance(node, (Var, Const, Blame)):
+        return dataclasses.replace(node)
+    return map_parts(node, uncached, lambda binder, part: (binder, uncached(part)))

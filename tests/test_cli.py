@@ -83,6 +83,44 @@ def test_run_stuck_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("space", [False, True])
+def test_classic_runs_the_proxy_loop_without_recursing(capsys, space):
+    # a chain of 2000 proxies around f at the last call: its value judgment
+    # must not recurse once per proxy
+    code, out = run_cli(capsys, "run", str(EXAMPLES / "proxy_loop.lh"), "--mode", "classic", *["--space"] * space)
+    assert code == 0 and out.splitlines()[-1] == "6"
+    if space:
+        assert out.splitlines()[0] == "max pending=4004 chain=2002 max_reflist=0 proxy_wrap=2002 live_types=6"
+
+
+# a loop that returns its function argument, which classic wraps in two
+# more proxies per iteration: a value nested too deeply for print_term
+DEEP_VALUE_LOOP = r"""
+let rec loop : {x:Int|true} -> ({x:Int|true} -> {x:Int|true}) -> ({x:Int|true} -> {x:Int|true}) =
+  \n:{x:Int|true}. \f:{x:Int|true} -> {x:Int|true}.
+    if n = 0 then f
+    else loop (n - 1)
+      (<{x:Int|x >= 0} -> {x:Int|x >= 0} => {x:Int|true} -> {x:Int|true} @ lw>
+        (<{x:Int|true} -> {x:Int|true} => {x:Int|x >= 0} -> {x:Int|x >= 0} @ lf> f));
+loop 1000 (\y:{x:Int|true}. y + 1)
+"""
+
+
+def test_a_run_too_deep_to_print_has_its_own_exit_code(tmp_path, capsys):
+    f = tmp_path / "deep.lh"
+    f.write_text(DEEP_VALUE_LOOP)
+    code, out = run_cli(capsys, "run", str(f), "--mode", "classic", "--json")
+    payload = json.loads(out)
+    validate(payload)
+    assert code == cli.EXIT_TOO_DEEP == 5 and payload["error"].startswith("term nested too deeply")
+    assert main(["run", str(f), "--mode", "classic"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: term nested too deeply (")
+    # eidetic merges the proxies, so the value prints
+    code, out = run_cli(capsys, "run", str(f), "--mode", "eidetic")
+    assert code == 0 and out.startswith("<")
+
+
 def test_run_json_with_trace_and_space(capsys):
     code, out = run_cli(capsys, "run", TRIPLE, "--mode", "eidetic", "--json", "--trace", "--space")
     payload = json.loads(out)

@@ -1,10 +1,9 @@
-import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_example
+from conftest import load_example, uncached
 from lh import eval_term
 from lh.harness import gen_source
 from lh.metering import (
@@ -22,7 +21,6 @@ from lh.syntax import (
     EMPTY_ANN,
     Abs,
     App,
-    Blame,
     Cast,
     Const,
     Fix,
@@ -30,7 +28,6 @@ from lh.syntax import (
     Op,
     Var,
     alpha_eq,
-    map_parts,
     subst,
     subterms,
     type_keys,
@@ -189,6 +186,23 @@ def test_factorial_space_signature():
     assert classic[1] > classic[0]
 
 
+def test_proxy_loop_space_is_flat_except_in_classic():
+    # f goes through two function casts per iteration: classic keeps every
+    # proxy, the other modes merge them into one
+    prog = load_example("proxy_loop.lh")
+    fix, f = prog.fn.fn, prog.arg
+    assert isinstance(fix, Fix)
+    peaks = {mode: [] for mode in ALL_MODES}
+    for n in (10, 100, 1000):
+        for mode in ALL_MODES:
+            out, mx, _ = eval_metered(mode, App(App(fix, Const(n)), f), 100_000)
+            assert out.kind is OutcomeKind.VALUE and out.term.value == 6, (mode, n)
+            peaks[mode].append((mx.pending, mx.proxy_wrap))
+    for mode in (Mode.FORGETFUL, Mode.HEEDFUL, Mode.EIDETIC):
+        assert peaks[mode] == [peaks[mode][0]] * 3, mode
+    assert peaks[Mode.CLASSIC] == [(4 * n + 4, 2 * n + 2) for n in (10, 100, 1000)]
+
+
 def test_series_json(e3):
     _, _, series = eval_metered(Mode.EIDETIC, e3, 100, series=True)
     data = series_json(series)
@@ -202,16 +216,8 @@ def test_measures_cache_consistency(e3):
     assert m1 is m2
 
 
-def _uncached(node):
-    """A copy of a term or type that shares no node with it, so nothing is cached on it."""
-
-    if isinstance(node, (Var, Const, Blame)):
-        return dataclasses.replace(node)
-    return map_parts(node, _uncached, lambda binder, part: (binder, _uncached(part)))
-
-
 def _assert_measures_node_by_node(e):
-    for node, fresh in zip(subterms(e), subterms(_uncached(e)), strict=True):
+    for node, fresh in zip(subterms(e), subterms(uncached(e)), strict=True):
         assert measures(node) == measures(fresh)
 
 

@@ -339,6 +339,19 @@ def test_machine_agrees_with_reference_stepper_on_both_tail_loops(mode):
     assert blame.label == ("b7" if mode in (Mode.CLASSIC, Mode.EIDETIC) else "r3")
 
 
+def test_a_tail_loop_puts_its_constants_in_by_plan(monkeypatch):
+    # each iteration's E-Beta steps run the plans of the cached body, not
+    # subst; subst still gives each active check its constant (binder x)
+    calls = []
+    real = semantics.subst
+    monkeypatch.setattr(semantics, "subst", lambda e, x, v: calls.append(x) or real(e, x, v))
+    for mode in ALL_MODES:
+        out = eval_term(mode, parse(TAIL_LOOP.replace("loop 20", "loop 50").replace("{acc}", "17")))
+        assert out.kind is OutcomeKind.VALUE and out.term.value == 17 + 50 * 51 // 2
+    assert calls.count("x") >= 50  # the patch sees the machine's calls
+    assert calls.count("n") + calls.count("acc") <= 2 * len(ALL_MODES)
+
+
 def test_e_fix_unrolls_a_closed_fix_once():
     fix = parse(BLAMING_LOOP).fn.fn
     assert isinstance(fix, Fix) and not free_vars(fix)

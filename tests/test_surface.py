@@ -86,3 +86,13 @@ def test_roundtrip_examples(examples_dir):
     for path in paths:
         e = parse(path.read_text())
         assert alpha_eq(parse(print_term(e)), e)
+
+
+def test_printed_names_do_not_depend_on_earlier_parses():
+    # fresh names are numbered per parse, not by a counter the process shares
+    text = print_term(gen_source(5, 30))
+    first = print_term(parse(text))
+    assert "_1" in first  # the program renames a binder
+    for seed in range(20):
+        parse(print_term(gen_source(seed, 30)))
+    assert print_term(parse(text)) == first

@@ -1,11 +1,12 @@
 import dataclasses
 import typing
 
-from conftest import load_example
+from conftest import EXAMPLES, load_example, uncached
+from lh import syntax
 from lh.harness import gen_source
-from lh.metering import space_stats
+from lh.metering import measures, space_stats
 from lh.semantics import machine
-from lh.surface import parse, parse_type
+from lh.surface import parse, parse_type, print_term
 from lh.syntax import (
     Abs,
     App,
@@ -32,6 +33,7 @@ from lh.syntax import (
     subst,
     subterms,
     type_keys,
+    unroll,
     with_child,
 )
 
@@ -289,3 +291,76 @@ def test_subst_renames_a_capturing_refinement_binder():
     cast = Cast(RAW_INT, EMPTY_ANN, ref, "l", Var("x"))
     out = subst(cast, "x", Var("y"))
     assert free_vars(out) == {"y"} and out.tgt.binder != "y"
+
+
+# the benchmark's loop shape in its value and blame variants, and the
+# recursive examples: every lambda in their unrolled bodies gets a plan
+PLANNED_SOURCES = [
+    r"""
+let rec loop : {x:Int|true} -> {x:Int|true} -> {x:Int|x > -2} =
+  \n:{x:Int|true}. \acc:{x:Int|true}.
+    if n = 0 then <{x:Int|true} => {x:Int|x > -2} @ b7> acc
+    else <{x:Int|x > -2} => {x:Int|x > -2} @ r3> (loop (n - 1) (acc + n));
+loop 20 (%s)
+"""
+    % acc
+    for acc in (17, -1000)
+] + [(EXAMPLES / name).read_text() for name in ("fact.lh", "evenodd.lh")]
+PLAN_CONSTS = (Const(0), Const(1), Const(-7), Const(1000003))
+
+
+def _plan_findings() -> tuple[int, list[str]]:
+    """Run the plan of every lambda in the unrolled body of each closed Fix of
+    PLANNED_SOURCES on the lambda's body, and the plan each result's rebuilt
+    lambdas carry on their copied bodies.  A finding is a result that prints
+    differently from `subst`, or a rebuilt node whose cached free variables or
+    measures differ from those of an uncached copy.  Returns (runs, findings)."""
+
+    todo = []
+    for text in PLANNED_SOURCES:
+        for fix in [n for n in subterms(parse(text)) if isinstance(n, Fix) and not free_vars(n)]:
+            body = unroll(fix)
+            measures(body)  # measured, so that plans have measures to copy
+            todo += [(n, 0) for n in subterms(body) if isinstance(n, Abs) and getattr(n, "_plan", None)]
+    runs, findings = 0, []
+    while todo:
+        lam, depth = todo.pop()
+        before = {id(n) for n in subterms(lam.body)}
+        for c in PLAN_CONSTS:
+            got, want = lam._plan(lam.body, c), subst(lam.body, lam.binder, c)
+            runs += 1
+            where = f"{print_term(lam)} [{c.value}]"
+            if print_term(got) != print_term(want):
+                findings.append(f"{where}: {print_term(got)} != {print_term(want)}")
+            for n in subterms(got):
+                if id(n) in before or n is c:
+                    continue  # read from the body or put in, not rebuilt
+                if n._fv != free_vars(uncached(n)):
+                    findings.append(f"{where}: _fv {sorted(n._fv)} at {print_term(n)}")
+                if n._sm != measures(uncached(n)):
+                    findings.append(f"{where}: _sm at {print_term(n)}")
+                if isinstance(n, Abs) and getattr(n, "_plan", None) and depth == 0:
+                    todo.append((n, 1))  # a copy an earlier plan made
+    return runs, findings
+
+
+def test_plans_agree_with_subst():
+    # Machine.step and Machine.eval both reach Machine._app, which runs the
+    # plans: this comparison is what checks them against subst, the reference
+    runs, findings = _plan_findings()
+    assert findings == []
+    assert runs >= 4 * len(PLAN_CONSTS) * (1 + len(PLAN_CONSTS))  # plans ran on copies too
+
+
+def test_a_plan_that_skips_an_occurrence_fails_the_plan_check(monkeypatch):
+    real, skipped = syntax._planned, []
+
+    def skipping(e, x):
+        if isinstance(e, Var) and e.name == x and not skipped:
+            skipped.append(e)
+            return syntax._keep
+        return real(e, x)
+
+    monkeypatch.setattr(syntax, "_planned", skipping)
+    _, findings = _plan_findings()
+    assert skipped and findings
