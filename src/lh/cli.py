@@ -7,8 +7,7 @@ command exits 2 on an input error: a program or --axioms file that cannot be
 read, parsed or typed (a program nested too deeply for the recursive parser
 or typechecker included), an unwritable --out file, or an option value out
 of range.  A standard output closed by its reader (as by `| head`) ends the
-command quietly with exit code 1.  The LH_BUDGET environment variable
-overrides the default step budget when --budget is not given.
+command quietly with exit code 1.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from .semantics import (
 from .surface import ParseError, parse, parse_type, print_term, print_type
 from .syntax import Mode, Refinement, Term, Type
 from .typecheck import TypeCheckError, check_source
-
-DEFAULT_BUDGET = 100_000
 
 EXIT_VALUE = 0
 EXIT_BLAME = 1
@@ -238,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="evaluate a program under one mode")
     p.add_argument("file")
     p.add_argument("--mode", type=_mode, default="eidetic", help="classic|forgetful|heedful|eidetic (or c|f|h|e)")
-    # argparse converts a string default only for the subcommand in use
-    p.add_argument("--budget", type=_non_negative, default=os.environ.get("LH_BUDGET") or DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_non_negative, default=100_000)
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--space", action="store_true")

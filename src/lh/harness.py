@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from . import semantics
 from .semantics import Outcome, OutcomeKind
-from .surface import parse, print_term
+from .surface import parse_type, print_term
 from .syntax import (
     ALL_MODES,
     Abs,
@@ -54,16 +54,10 @@ ANY = raw(BaseType.INT)
 RAW_BOOL = raw(BaseType.BOOL)
 
 
-def _ref(pred_src: str) -> Refinement:
-    t = parse("<" + pred_src + " => " + pred_src + " @ l> 0").src
-    assert isinstance(t, Refinement)
-    return t
-
-
-NAT = _ref("{x:Int|x >= 0}")
-EVEN = _ref("{x:Int|x mod 2 = 0}")
-NZ = _ref("{x:Int|x <> 0}")
-POS = _ref("{x:Int|x > 0}")
+NAT = parse_type("{x:Int|x >= 0}")
+EVEN = parse_type("{x:Int|x mod 2 = 0}")
+NZ = parse_type("{x:Int|x <> 0}")
+POS = parse_type("{x:Int|x > 0}")
 
 INT_POOL: tuple[Refinement, ...] = (ANY, NAT, EVEN, NZ, POS)
 BOOL_POOL: tuple[Refinement, ...] = (RAW_BOOL,)

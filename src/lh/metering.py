@@ -4,9 +4,9 @@
 same five counters up to date incrementally while the machine runs, so the
 per-step cost stays proportional to the local change, not the term size.
 
-`measures(e)` caches a `Measures` on every node it visits, and `syntax.subst`
-carries it over when it puts a constant in, so a beta step does not measure
-the body again.
+`measures(e)` caches a `Measures` on every node it visits, and a substitution
+plan (`syntax.unroll`) carries it over when it puts a constant in, so a loop's
+beta step does not measure the body again.
 
 A `Meter` keeps one summary per frame of the machine's context, covering the
 term outside that frame's hole: its type keys, as a set, pending checks,

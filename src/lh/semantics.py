@@ -18,14 +18,12 @@ proxy judgment (`_PROXIES`) are picked when the `Machine` is made, so no rule
 tests the mode again.  Classes are compared with `is`, since no term, type,
 annotation or coercion class has a subclass.
 
-`E-Fix` unrolls a closed `Fix` once (`syntax.unroll`): the body is cached on
-the node, and each iteration of a loop steps to the same body.  Putting a
-closed value in renames no binder, so reusing the body skips no `fresh_name`
-call and every printed name stays the same.  A `Fix` with a free variable
-(only a term built directly holds one) is unrolled afresh each time.  The
-body depends on the node alone, not on the mode, and what the meter and the
-trace checker cache on its nodes depends on those nodes alone.  `E-Beta` of a
-constant runs the lambda's plan from that body (`syntax.unroll`), if any.
+`E-Fix` unrolls a `Fix` once (`syntax.unroll`): the body is cached on the
+node, and each iteration of a loop steps to the same body.  Substitution is a
+function of its arguments, so the body depends on the node alone, not on the
+mode, and what the meter and the trace checker cache on its nodes depends on
+those nodes alone.  `E-Beta` of a constant runs the lambda's plan from that
+body (`syntax.unroll`), if any.
 
 A traced run records one `TraceStep` per step, holding the step index, the
 rule, and the context and focus just after the step: O(1) work and memory per
@@ -205,8 +203,9 @@ def coercion_merge(c1: Coercion, c2: Coercion, oracle: ImplicationOracle = DEFAU
     raise ValueError("coercion_merge: mismatched coercion shapes")
 
 
-def merge(mode: Mode, t1: Type, a1, t2: Type, a2, t3: Type, oracle: ImplicationOracle = DEFAULT_ORACLE):
-    """Merge the annotations of two adjacent casts, or None where undefined."""
+def merge(mode: Mode, a1, t2: Type, a2, oracle: ImplicationOracle = DEFAULT_ORACLE):
+    """Merge the annotations a1 and a2 of two adjacent casts that meet at t2,
+    or None where undefined."""
 
     if mode is Mode.FORGETFUL and isinstance(a1, EmptyAnn) and isinstance(a2, EmptyAnn):
         return EMPTY_ANN
@@ -358,14 +357,6 @@ class TraceStep:
             frame, ctx = ctx
             whole = frame.rebuild(whole)
         return whole
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TraceStep):
-            return NotImplemented
-        return (self.index, self.rule, self.term) == (other.index, other.rule, other.term)
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.rule, self.term))
 
     def __repr__(self) -> str:
         return f"TraceStep(index={self.index!r}, rule={self.rule!r}, term={self.term!r})"
@@ -534,7 +525,7 @@ class Machine:
             return (_STEP, Blame(subject.label), "E-CastRaise")
         # 2. merge adjacent casts whenever the mode can
         if type(subject) is Cast:
-            merged = merge(self.mode, subject.src, subject.ann, subject.tgt, e.ann, e.tgt, self.oracle)
+            merged = merge(self.mode, subject.ann, subject.tgt, e.ann, self.oracle)
             if merged is not None:
                 return (_STEP, Cast(subject.src, merged, e.tgt, e.label, subject.subject), "E-CastMergeE")
         # 3. otherwise step the subject

@@ -32,36 +32,27 @@ raised the peak memory of the trace-check benchmark from 39 MB to 55-70 MB
 on whole terms: it asks only for the keys of the type nodes that the nodes
 of each term hold.
 
-When the value `subst` puts in is known to be closed (a constant, or a node
-with an empty cached set, as nearly every value the machine substitutes is),
-each node it rebuilds gets fv(e) - {x} cached as it is built, so the next
-substitution into the result does not walk it again (without that, plain
-eval of the depth-300 tail loop took 1.18x as long before plans; 2-core VM,
-Python 3.11); on generated programs it costs about 1%.  It does not walk a
-value to learn that it is closed, which at parse time would walk every `let`
-body.  Putting a constant into a measured term, it copies the measures
-`metering` cached on each node (`_sm`): a constant measures like the
-variable it replaces.  Types are never measured, and a type with x free
-(only a term built directly holds one) changes the keys of every node above
-it, so after an unmeasured node none is copied.  `subst` maps parts with two
-closures, `go` and `scope`, and rebuilds no part whose cached free variables
-lack x; a state object's methods were no faster.
+`subst` is textbook capture-avoiding substitution on the part map: it
+rebuilds the nodes on the paths to x, renames a binder free in v apart with
+names numbered from a counter made for the call, and keeps no other state, so
+its result depends on its arguments alone.
 
 `unroll(e)` is the body of a `Fix` with the `Fix` put in for its binder, one
-`E-Fix` step.  A closed `Fix` keeps it (`_unrolled`): substituting a closed
-value calls no `fresh_name`, and the body is the same for every mode and
-every iteration of a loop.  Each lambda in that body gets a substitution
-plan (`_plan`) for its `E-Beta` with a constant, compiled once into a tree of
-closures (Feeley & Lapalme, *Using Closures for Code Generation*, 1987).  A
-plan rebuilds only the nodes on the paths to the binder x and reads every
-other part from the node it is given, without `subst`'s free-variable tests
-and part-map dispatch.  Each node it rebuilds gets fv(node) - {x}, the
-node's `_sm` (metered loops ran at 0.71x without that copy) and, for a
-lambda, its source's plan, so a plan also runs on the copy an earlier plan
-made.  Only a closed `Fix` body gets plans: each iteration of its loop runs
-them again, while a lambda elsewhere is mostly applied once, for less than
-a plan costs to compile.  A plan declines a type with x free on a path and
-any class it does not rebuild; `subst` handles those, and stays the reference.
+`E-Fix` step, kept on the `Fix` (`_unrolled`): the body is the same for every
+mode and every iteration of a loop.  Each lambda in that body, outside any
+`Fix` in it, gets a substitution plan (`_plan`) for its `E-Beta` with a
+constant, compiled once into a tree of closures (Feeley & Lapalme, *Using
+Closures for Code Generation*, 1987).  A plan rebuilds only the nodes on the
+paths to the binder x and reads every other part from the node it is given,
+without `subst`'s free-variable tests and part-map dispatch.  Each node it
+rebuilds gets fv(node) - {x}, the node's measures (`_sm`, which `metering`
+caches; metered loops ran at 0.71x without that copy) and, for a lambda, its
+source's plan, so a plan also runs on the copy an earlier plan made.  Only a
+`Fix` body gets plans: each iteration of its loop runs them again, while a
+lambda elsewhere is mostly applied once, for less than a plan costs to
+compile; a nested `Fix` plans its own body when it is unrolled.  A plan
+declines a type with x free on a path and any class it does not rebuild;
+`subst` handles those, and stays the reference.
 """
 
 from __future__ import annotations
@@ -514,8 +505,6 @@ def map_parts(node: Node, f, last) -> Node:
 # ---------------------------------------------------------------------------
 # Free variables
 
-_fresh_counter = itertools.count(1)
-
 
 def _cache(node, attr: str, value):
     object.__setattr__(node, attr, value)
@@ -553,10 +542,10 @@ def free_vars(node: Node) -> frozenset[str]:
     return _cache(node, "_fv", fv)
 
 
-def fresh_name(base: str, avoid: frozenset[str], counter=None) -> str:
+def fresh_name(base: str, avoid: frozenset[str], counter: Iterator[int]) -> str:
     root = base.rstrip("0123456789_") or "v"
     while True:
-        candidate = f"{root}_{next(counter or _fresh_counter)}"
+        candidate = f"{root}_{next(counter)}"
         if candidate not in avoid:
             return candidate
 
@@ -567,33 +556,24 @@ def fresh_name(base: str, avoid: frozenset[str], counter=None) -> str:
 
 def subst(e: Node, x: str, v: Term) -> Node:
     """Capture-avoiding substitution of v for free occurrences of x in a term
-    or type.  When v is known to be closed, every node it rebuilds gets its
-    free variables, fv(e) - {x}, cached as it is built."""
+    or type.  A binder free in v is renamed apart, numbered from 1 per call."""
 
     if x not in free_vars(e):
         return e
-    carry = isinstance(v, Const) and getattr(e, "_sm", None) is not None
-    closed = isinstance(v, Const) or getattr(v, "_fv", None) == _NO_VARS
+    counter = itertools.count(1)
 
     def go(e):
-        nonlocal carry
-        fv = free_vars(e)
-        if x not in fv:
+        if x not in free_vars(e):
             return e
-        if isinstance(e, Var):
+        if type(e) is Var:
             return v
-        out = map_parts(e, go, scope)
-        if closed:  # most often fv is {x}, as in a predicate given its constant
-            object.__setattr__(out, "_fv", fv - {x} if len(fv) > 1 else _NO_VARS)
-        if carry:  # copy the measures; an unmeasured node, as every type is, ends the copying
-            carry = _cache(out, "_sm", getattr(e, "_sm", None)) is not None
-        return out
+        return map_parts(e, go, scope)
 
     def scope(binder, part):
         if binder == x:
             return binder, part
-        if not closed and binder in free_vars(v):
-            renamed = fresh_name(binder, free_vars(v) | free_vars(part))
+        if binder in free_vars(v):
+            renamed = fresh_name(binder, free_vars(v) | free_vars(part), counter)
             part = subst(part, binder, Var(renamed))
             binder = renamed
         return binder, go(part)
@@ -604,18 +584,22 @@ def subst(e: Node, x: str, v: Term) -> Node:
 
 
 def unroll(e: Fix) -> Term:
-    """The body of e with e put in for its binder, as one E-Fix step makes it.
-    A closed e keeps the result: substituting a closed value renames nothing,
-    so no `fresh_name` call is skipped by reusing it."""
+    """The body of e with e put in for its binder, as one E-Fix step makes it,
+    kept on e with a plan for each lambda of the body outside a `Fix`."""
 
     cached = getattr(e, "_unrolled", None)
     if cached is not None:
         return cached
-    if free_vars(e):
-        return subst(e.body, e.binder, e)
     body = _cache(e, "_unrolled", subst(e.body, e.binder, e))
-    for node in reversed(list(subterms(body))):  # inner lambdas first: a plan hands theirs on
-        if type(node) is Abs and not hasattr(node, "_plan"):
+    lambdas, todo = [], [body]
+    while todo:  # pre-order, not into a Fix: the one put in, or one that plans its own body
+        node = todo.pop()
+        if type(node) is not Fix:
+            if type(node) is Abs:
+                lambdas.append(node)
+            todo.extend(children(node))
+    for node in reversed(lambdas):  # inner lambdas first: a plan hands theirs on
+        if not hasattr(node, "_plan"):
             _cache(node, "_plan", _planned(node.body, node.binder))
     return body
 

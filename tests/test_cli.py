@@ -9,7 +9,7 @@ import pytest
 
 from conftest import EXAMPLES
 from lh import cli
-from lh.cli import DEFAULT_BUDGET, build_parser, main
+from lh.cli import main
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "docs" / "schema.json").read_text()
@@ -166,24 +166,7 @@ def test_fuzz_command(tmp_path, capsys):
     assert payload["count"] == 15 and payload["ok"]
 
 
-def test_lh_budget_env(monkeypatch):
-    monkeypatch.setenv("LH_BUDGET", "1234")
-    parser = build_parser()
-    args = parser.parse_args(["run", TRIPLE])
-    assert args.budget == 1234
-    monkeypatch.delenv("LH_BUDGET")
-    args = build_parser().parse_args(["run", TRIPLE])
-    assert args.budget == DEFAULT_BUDGET
-
-
-def test_unusable_budget_or_count_is_an_input_error(monkeypatch, capsys):
-    # a bad LH_BUDGET concerns `run` alone, and exits 2 there, not with a traceback
-    monkeypatch.setenv("LH_BUDGET", "abc")
-    assert run_cli(capsys, "check", TRIPLE) == (0, "{x:Int | x <> 0}\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["run", TRIPLE])
-    assert exc.value.code == 2
-    monkeypatch.delenv("LH_BUDGET")
+def test_unusable_budget_or_count_is_an_input_error(capsys):
     for argv in (
         ["run", TRIPLE, "--budget", "-1"],
         ["diff", TRIPLE, "--budget", "x"],

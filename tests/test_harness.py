@@ -16,7 +16,7 @@ from lh.harness import (
     run_fuzz,
 )
 from lh.semantics import OutcomeKind, coercion_merge
-from lh.surface import parse, parse_type, print_term
+from lh.surface import parse, parse_type, print_term, print_type
 from lh.syntax import (
     ALL_MODES,
     Abs,
@@ -33,6 +33,7 @@ from lh.syntax import (
     Refinement,
     Refs,
     alpha_eq,
+    canon,
     children,
     is_raw,
     raw,
@@ -42,6 +43,21 @@ from lh.syntax import (
     with_child,
 )
 from lh.typecheck import Checker, TypeCheckError, check_source
+
+
+def test_pool_types_read_as_they_do_inside_a_cast():
+    pool = harness.INT_POOL + harness.BOOL_POOL
+    assert [print_type(t) for t in pool] == [
+        "{x:Int | true}",
+        "{x:Int | x >= 0}",
+        "{x:Int | x mod 2 = 0}",
+        "{x:Int | x <> 0}",
+        "{x:Int | x > 0}",
+        "{b:Bool | true}",
+    ]
+    for t in pool:
+        in_cast = parse(f"<{print_type(t)} => {print_type(t)} @ l> 0").src
+        assert (canon(in_cast), print_type(in_cast)) == (canon(t), print_type(t))
 
 
 def test_gen_source_is_well_typed_and_deterministic():

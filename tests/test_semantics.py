@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_example
-from lh import eval_term, semantics, syntax
+from lh import eval_term, semantics
 from lh.harness import gen_source
 from lh.semantics import (
     IsBlame,
@@ -116,13 +116,13 @@ def test_ref_drop_is_a_subsequence():
 
 
 def test_merge_modes():
-    assert merge(Mode.CLASSIC, ANY, EMPTY_ANN, NAT, EMPTY_ANN, NZ) is None
-    assert isinstance(merge(Mode.FORGETFUL, ANY, EMPTY_ANN, NAT, EMPTY_ANN, NZ), type(EMPTY_ANN))
-    h = merge(Mode.HEEDFUL, ANY, Types(EMPTY_SET), NAT, Types(EMPTY_SET), NZ)
+    assert merge(Mode.CLASSIC, EMPTY_ANN, NAT, EMPTY_ANN) is None
+    assert isinstance(merge(Mode.FORGETFUL, EMPTY_ANN, NAT, EMPTY_ANN), type(EMPTY_ANN))
+    h = merge(Mode.HEEDFUL, Types(EMPTY_SET), NAT, Types(EMPTY_SET))
     assert isinstance(h, Types) and len(h.types) == 1 and alpha_eq(h.types.members[0], NAT)
-    e = merge(Mode.EIDETIC, ANY, Coerce(coerce(ANY, NAT, "l1")), NAT, Coerce(coerce(NAT, NZ, "l2")), NZ)
+    e = merge(Mode.EIDETIC, Coerce(coerce(ANY, NAT, "l1")), NAT, Coerce(coerce(NAT, NZ, "l2")))
     assert isinstance(e, Coerce) and len(e.coercion.entries) == 2
-    assert merge(Mode.FORGETFUL, ANY, Types(EMPTY_SET), NAT, EMPTY_ANN, NZ) is None
+    assert merge(Mode.FORGETFUL, Types(EMPTY_SET), NAT, EMPTY_ANN) is None
 
 
 def test_choose_policies():
@@ -362,15 +362,22 @@ def test_e_fix_unrolls_a_closed_fix_once():
         assert again.rule == "E-Fix" and again.term is first.term
 
 
-def test_e_fix_unrolls_an_open_fix_afresh(monkeypatch):
-    # fix f. (\y. f y) y: y is free in the fix, so each unrolling renames the inner y
+def test_e_fix_unrolls_an_open_fix_once():
+    # fix f. (\y. f y) y: y is free in the fix, so unrolling renames the inner
+    # y, numbered per substitution whatever ran before
     fix = Fix("f", Fun(ANY, ANY), App(Abs("y", ANY, App(Var("f"), Var("y"))), Var("y")))
-    names = []
-    monkeypatch.setattr(syntax, "fresh_name", lambda base, avoid: names.append(base) or f"y_fresh{len(names)}")
+    for _ in range(3):
+        subst(Abs("y", ANY, Var("x")), "x", Var("y"))  # renames a y too
     first, second = machine(Mode.CLASSIC).step(fix), machine(Mode.EIDETIC).step(fix)
-    assert first.rule == second.rule == "E-Fix" and first.term is not second.term
-    assert names == ["y", "y"]  # one renaming per unrolling, as without the cache
-    assert first.term.fn.binder == "y_fresh1" and second.term.fn.binder == "y_fresh2"
+    assert first.rule == second.rule == "E-Fix" and first.term is second.term
+    assert first.term.fn.binder == "y_1"
+
+
+def test_a_trace_step_equals_itself():
+    out = eval_term(Mode.CLASSIC, load_example("fact.lh"), 10_000, trace=True)
+    s = out.trace[50]
+    assert s == s and hash(s) == hash(s)
+    assert len(set(out.trace)) == out.steps
 
 
 def test_tracing_rebuilds_no_more_than_plain_eval(monkeypatch):
@@ -405,7 +412,7 @@ def _mergeable_pairs(programs):
                         continue
                     seen.add(node)
                     inner = node.subject
-                    if merge(mode, inner.src, inner.ann, inner.tgt, node.ann, node.tgt) is not None:
+                    if merge(mode, inner.ann, inner.tgt, node.ann) is not None:
                         pairs.append((mode, node))
     return pairs
 

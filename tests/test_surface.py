@@ -96,3 +96,13 @@ def test_printed_names_do_not_depend_on_earlier_parses():
     for seed in range(20):
         parse(print_term(gen_source(seed, 30)))
     assert print_term(parse(text)) == first
+
+
+def test_names_renamed_by_a_let_do_not_depend_on_earlier_parses():
+    # putting f in under \k renames that k apart from f's free k
+    text = "let k = 1; let f = \\n:{x:Int|true}. n + k; (\\k:{x:Int|true}. f k) 5"
+    first = print_term(parse(text))
+    assert first.startswith("(\\k_1:")
+    for i in range(20):
+        parse(text.replace("k", f"k{i}"))  # each renames a k{i} to a k_<n>
+    assert print_term(parse(text)) == first

@@ -349,7 +349,17 @@ def test_plans_agree_with_subst():
     # plans: this comparison is what checks them against subst, the reference
     runs, findings = _plan_findings()
     assert findings == []
-    assert runs >= 4 * len(PLAN_CONSTS) * (1 + len(PLAN_CONSTS))  # plans ran on copies too
+    # seven planned lambdas, and the copies of the inner lambda that three of them rebuild
+    assert runs >= len(PLAN_CONSTS) * (7 + 3 * len(PLAN_CONSTS))
+
+
+def test_unroll_plans_no_lambda_of_the_fix_it_puts_in():
+    # the two lambdas of proxy_loop.lh's unrolled body get plans; those of the
+    # source body, under the Fix put in for the binder, are never applied
+    fix = next(n for n in subterms(load_example("proxy_loop.lh")) if isinstance(n, Fix))
+    body = unroll(fix)
+    planned = {n for n in (*subterms(fix), *subterms(body)) if isinstance(n, Abs) and hasattr(n, "_plan")}
+    assert len(planned) == 2 and all(n._plan is not None for n in planned)
 
 
 def test_a_plan_that_skips_an_occurrence_fails_the_plan_check(monkeypatch):
