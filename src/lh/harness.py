@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import semantics
-from .semantics import Outcome, OutcomeKind
+from .semantics import Frame, Outcome, OutcomeKind, TraceTerms
 from .surface import parse_type, print_term
 from .syntax import (
     ALL_MODES,
@@ -45,7 +45,7 @@ from .syntax import (
     subterms,
     type_keys,
 )
-from .typecheck import Checker, TypeCheckError, check_source
+from .typecheck import REPLAYING, Checker, TypeCheckError, check_source
 
 # ---------------------------------------------------------------------------
 # Named types used throughout generation
@@ -303,146 +303,221 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     """Findings for preservation and type monotonicity along an evaluation
     trace (first element is the initial term).
 
-    `terms` may be any iterable, such as a generator over a trace's steps;
-    only the current and the previous term are held.  Their nodes live in
-    one table (`_LiveNodes`), which visits a node when it first appears and
-    again when it leaves, so a term costs time in proportion to the nodes
-    the step rebuilt.  The table keeps the type keys of the live nodes
-    counted, so that types grew exactly when entering a term raised a key's
-    count from zero.  One checker serves the whole trace; a node's judgments
-    are forgotten when the node leaves the table, so a node that a step did
-    not rebuild is checked only once; one that a step rebuilt at one child
-    takes over its counterpart's (`Checker.carry`)."""
+    Each term is a step, frames (`semantics.Frame`) around a focus: the
+    machine's own for `Outcome.trace_terms()` (`TraceTerms.contexts`), so a
+    step costs time in proportion to the frames it popped and pushed and the
+    nodes it made, not to its depth; for any other iterable, no frames.
+    `_LiveNodes` counts the type keys of two steps' nodes, so types grew when
+    a step raised a key's count from zero, and carries judgments along."""
 
-    terms = iter(terms)
-    first = next(terms, None)
+    steps = terms.contexts() if isinstance(terms, TraceTerms) else ((None, t) for t in terms)
+    first = next(steps, None)
     if first is None:
         return []
     checker = Checker(mode)
     try:
-        ty = checker.infer({}, first)
+        ty = checker.infer({}, first[1])
     except TypeCheckError as exc:
         return [f"step 0: initial term does not typecheck: {exc}"]
-
     findings: list[str] = []
-    live = _LiveNodes()
-    prev = None
-    for i, term in enumerate(itertools.chain((first,), terms)):
-        grew, spine = live.enter(term, prev)
-        checker.carry(spine)
-        try:
-            checker.check({}, term, ty)
-        except TypeCheckError as exc:
-            findings.append(f"step {i}: preservation failure: {exc}")
-        if prev is not None:
-            if grew:
-                findings.append(f"step {i}: types grew along the trace")
-            checker.forget(live.leave(prev))
-        prev = term
+    live = _LiveNodes(checker)
+    for i, (ctx, focus) in enumerate(itertools.chain((first,), steps)):
+        grew = live.step(ctx, focus)
+        if (failure := live.check(ty)) is not None:
+            findings.append(f"step {i}: preservation failure: {failure}")
+        if i and grew:
+            findings.append(f"step {i}: types grew along the trace")
+    checker.forget([level.node for level in live.levels])
     return findings
 
 
+class _Level:
+    """A frame of the current step, as the node it holds: that node's
+    children and held types, a built copy of it whose judgments hold for it
+    (the copy's child may be older), and whether a level above replays it."""
+
+    __slots__ = ("frame", "node", "kids", "held", "replayed")
+
+    def __init__(self, frame: Frame, node: Term):
+        self.frame, self.node = frame, node
+
+
 class _LiveNodes:
-    """The term nodes of at most two trace terms, keyed by identity.
+    """The nodes of at most two steps: the current step's frames as `levels`
+    (`at` gives a frame's position), and every other node in `table`, by
+    identity, as `[count, children, held types]`, counting its parent edges
+    from live nodes and levels plus the steps focused on it.  `holders`
+    counts the nodes and levels holding each type object, and `keys` the
+    type objects and refinement-list entries per type key."""
 
-    `table` maps each live node to `[count, children, held types]`, where
-    count is the number of its parent edges from live nodes plus the terms
-    rooted at it.  `holders` counts the live nodes holding each type object
-    whole.  `keys` counts, per type key, the type objects in `holders` that
-    carry it plus the refinement-list entries with that key that live nodes
-    hold, so the keys with a count are `type_keys` of the live terms.
-
-    A node that a step rebuilt at one child takes over its counterpart's
-    children and held types (`enter`), so only the nodes the step created
-    anew are read with `children` and `held_types`."""
-
-    def __init__(self):
+    def __init__(self, checker: Checker):
+        self.checker = checker
         self.table: dict[Term, list] = {}
         self.holders: dict[Type, int] = {}
         self.keys: dict[str, int] = {}
+        self.levels: list[_Level] = []
+        self.at: dict[Frame, int] = {}
+        self.focus: Optional[Term] = None
+        self.carried = False  # the judgments reached the root
 
-    def enter(self, root: Term, prev: Optional[Term]) -> tuple[bool, list]:
-        """Count one more term rooted at root, adding the nodes that are not
-        live yet; from the root down, a node that is its counterpart in prev
-        (a live term) rebuilt at one child takes over its kids and held
-        types.  Returns whether a type key no live node had appeared, and
-        (counterpart, node, i, new child) per rebuilt node."""
+    def step(self, ctx, focus: Term) -> bool:
+        """Move on to the step ctx around focus; True if a type key that the
+        previous step's nodes lacked appeared.  Frames that stay cost nothing.
+        Below them, the two steps are built as reading them back would build
+        them and walked down together: a node that is its counterpart rebuilt
+        at one child (`rebuilt_at`) takes over its kids, held types and
+        judgments; the rest are read with `children` and `held_types`."""
 
-        table, holders, keys = self.table, self.holders, self.keys
-        spine = []
-        node = root
-        while prev is not None and node is not prev and node not in table:
-            at = rebuilt_at(prev, node)
-            if at is None:
+        levels, at, table = self.levels, self.at, self.table
+        frames = []
+        while ctx is not None and ctx[0] not in at:
+            frames.append(ctx[0])
+            ctx = ctx[1]
+        keep = 0 if ctx is None else at[ctx[0]] + 1
+        popped, prev = levels[keep:], self.focus
+        del levels[keep:]
+        old, sources = prev, {}
+        for level in reversed(popped):
+            old = level.frame.rebuild(old)
+            sources[old] = level
+        new, fresh = focus, {}
+        for frame in frames:
+            new = frame.rebuild(new)
+            fresh[new] = _Level(frame, new)
+
+        spine = []  # (old, new, i) per node rebuilt at one child, from the top
+        while prev is not None and new is not old and new not in table:
+            moved = rebuilt_at(old, new)
+            if moved is None:
                 break
-            i, kid = at
-            _, kids, held = table[prev]
-            if len(kids) > 1:
-                for k in kids[:i] + kids[i + 1 :]:
-                    table[k][0] += 1
-            table[node] = [1, kids[:i] + (kid,) + kids[i + 1 :] if len(kids) > 1 else (kid,), held]
-            for t in held[0]:
-                holders[t] += 1
-            for ref in held[1]:
-                keys[canon(ref)] += 1
-            spine.append((prev, node, i, kid))
-            node, prev = kid, kids[i]
+            i, kid = moved
+            source = sources.get(old)
+            kids, held = (children(old), source.held) if source else table[old][1:]
+            self.hold(held)  # the counterpart holds them: no key is new
+            for k, sibling in enumerate(kids):
+                if k != i:
+                    table[sibling][0] += 1
+            if (level := fresh.get(new)) is not None:
+                level.kids, level.held = kids, held
+            else:
+                table[new] = [1, kids[:i] + (kid,) + kids[i + 1 :], held]
+            spine.append((source.node if source else old, new, i))
+            old, new = kids[i], kid
 
-        grew = False
-        todo = [node]
+        grew, todo = False, [new]
         while todo:
             node = todo.pop()
-            entry = table.get(node)
-            if entry is not None:
+            if (entry := table.get(node)) is not None:
                 entry[0] += 1
                 continue
-            kids = children(node)
-            held = held_types(node)
-            table[node] = [1, kids, held]
+            kids, held = children(node), held_types(node)
             todo += kids
-            whole, alone = held
-            if not whole:
-                continue
-            for t in whole:
-                n = holders.get(t, 0)
-                holders[t] = n + 1
-                if not n:
-                    for key in type_keys(t):
-                        grew = _acquire(keys, key) or grew
-            for ref in alone:
-                grew = _acquire(keys, canon(ref)) or grew
-        return grew, spine
+            if held[0]:
+                grew = self.hold(held) or grew
+            if (level := fresh.get(node)) is not None:
+                level.kids, level.held = kids, held
+            else:
+                table[node] = [1, kids, held]
 
-    def leave(self, root: Term) -> list[Term]:
-        """Count one term rooted at root less; drop and return every node
-        that no live node or term refers to any more."""
+        for level in reversed(fresh.values()):
+            up = levels[-1] if levels else None
+            level.replayed = up is not None and (up.replayed or type(up.frame.orig) in REPLAYING)
+            at[level.frame] = len(levels)
+            levels.append(level)
+        self.focus = focus
+        try:
+            self.carried = self._carry(spine, new, keep)
+        except TypeCheckError:
+            self.carried = False
+        if prev is not None:
+            self._leave(popped, prev)
+        return grew
 
-        table, holders, keys = self.table, self.holders, self.keys
-        entry = table[root]
-        entry[0] -= 1
-        if entry[0]:
-            return []
-        dropped = [root]
-        for node in dropped:  # grows while it is read
-            _, kids, (whole, alone) = table.pop(node)
-            for kid in kids:
-                entry = table[kid]
-                entry[0] -= 1
-                if not entry[0]:
-                    dropped.append(kid)
-            if not whole:
-                continue
-            for t in whole:
-                n = holders[t] - 1
-                if n:
-                    holders[t] = n
-                    continue
-                del holders[t]
+    def _carry(self, spine: list, kid: Term, keep: int) -> bool:
+        """Carry judgments up the rebuilt nodes, then up the first keep levels
+        until one keeps its judgments and no level above replays it.  A node
+        whose counterpart has none gets none: only a rule that replays it
+        reads it, or the carry above types it anew."""
+
+        checker, levels = self.checker, self.levels
+        for old, new, i in reversed(spine):
+            checker.carry(old, i, kid, new)
+            kid = new
+        for k in range(keep - 1, -1, -1):
+            level = levels[k]
+            old, i = level.node, level.frame.index
+            if (same := checker.carry(old, i, kid)) and not level.replayed:
+                return True
+            node = level.frame.rebuild(kid)
+            if same is not None:
+                same = checker.carry(old, i, kid, node)
+            checker.forget((old,))
+            level.node = kid = node
+            if same and not level.replayed:
+                return True
+        return True
+
+    def check(self, ty: Type) -> Optional[TypeCheckError]:
+        """The error the whole-term check raises, if any.  Unless the carry
+        put ty at the root, the term is built and checked top down, and its
+        nodes become the levels' nodes."""
+
+        levels, checker = self.levels, self.checker
+        if self.carried and checker.knows(levels[0].node if levels else self.focus, ty):
+            return None
+        node = self.focus
+        for level in reversed(levels):
+            checker.forget((level.node,))
+            node = level.node = level.frame.rebuild(node)
+        try:
+            checker.check({}, node, ty)
+        except TypeCheckError as exc:
+            return exc
+        return None
+
+    def _leave(self, popped: list[_Level], prev: Term) -> None:
+        """Count the previous step less, and forget every node that no live
+        node or level refers to any more."""
+
+        todo, dropped, table = [prev], [level.node for level in popped], self.table
+        for level in popped:
+            del self.at[level.frame]
+            self.release(level.held)
+            i = level.frame.index
+            todo += level.kids[:i] + level.kids[i + 1 :]
+        while todo:
+            entry = table[node := todo.pop()]
+            entry[0] -= 1
+            if not entry[0]:
+                del table[node]
+                dropped.append(node)
+                todo += entry[1]
+                if entry[2][0]:
+                    self.release(entry[2])
+        self.checker.forget(dropped)
+
+    def hold(self, held: tuple) -> bool:
+        """Count held types once more; True if a type key had no count."""
+
+        grew = False
+        for t in held[0]:
+            self.holders[t] = n = self.holders.get(t, 0) + 1
+            if n == 1:
                 for key in type_keys(t):
-                    _release(keys, key)
-            for ref in alone:
-                _release(keys, canon(ref))
-        return dropped
+                    grew = _acquire(self.keys, key) or grew
+        for ref in held[1]:
+            grew = _acquire(self.keys, canon(ref)) or grew
+        return grew
+
+    def release(self, held: tuple) -> None:
+        for t in held[0]:
+            if n := self.holders.pop(t) - 1:
+                self.holders[t] = n
+            else:
+                for key in type_keys(t):
+                    _release(self.keys, key)
+        for ref in held[1]:
+            _release(self.keys, canon(ref))
 
 
 def _acquire(counts: dict, key) -> bool:
@@ -519,8 +594,7 @@ def run_fuzz(
                 out = semantics.eval_term(mode, term, budget, trace=True)
                 if out.kind is OutcomeKind.BUDGET:
                     continue
-                terms = itertools.chain((out.initial,), (s.term for s in out.trace))
-                found = check_trace(mode, terms)
+                found = check_trace(mode, out.trace_terms())
                 if found:
                     failures.append(
                         {"index": i, "size": size, "mode": mode.value, "trace_findings": found}

@@ -30,6 +30,9 @@ rule, and the context and focus just after the step: O(1) work and memory per
 step, as contexts share their tails.  `TraceStep.term` plugs the focus back
 into the context when it is read, in O(depth), and gives the same term, with
 the same shared nodes, as rebuilding it at the step would.
+`Outcome.trace_terms()` is a read-only sequence over those terms that builds
+one only when it is read; `harness.check_trace` reads its contexts and foci
+(`TraceTerms.contexts`) and builds none.
 
 An observer passed to `Machine.eval` sees every transition as four events:
 `start(root)` once; `push(frame, child)` after descending from the frame's
@@ -43,6 +46,7 @@ nest, and a run that ends in a value or blame pops every frame it pushed.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -372,9 +376,33 @@ class Outcome:
     trace: Optional[tuple[TraceStep, ...]] = None
     initial: Optional[Term] = None
 
-    def trace_terms(self) -> list[Term]:
+    def trace_terms(self) -> TraceTerms:
         assert self.trace is not None and self.initial is not None
-        return [self.initial] + [s.term for s in self.trace]
+        return TraceTerms(self.initial, self.trace)
+
+
+class TraceTerms(Sequence):
+    """The initial term, then the term after each step: a read-only sequence
+    that builds a term (`TraceStep.term`) each time one is read."""
+
+    def __init__(self, initial: Term, trace: tuple[TraceStep, ...]):
+        self.initial, self.trace = initial, trace
+
+    def __len__(self) -> int:
+        return len(self.trace) + 1
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # IndexError out of range; negative from the end
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        return self.trace[i - 1].term if i else self.initial
+
+    def contexts(self) -> Iterator[tuple[Context, Term]]:
+        """(context, focus) of each term, as the machine recorded them."""
+
+        yield None, self.initial
+        for s in self.trace:
+            yield s._ctx, s._focus
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +451,26 @@ class Machine:
         self._rules = _RULES[mode]
         self._proxy = _PROXIES[mode]
         self._ann = _ANNOTATIONS[mode]
+        self._judged = f"_value_{mode.value}"  # where a proxy keeps its value judgment
 
     # -- value judgment
 
     def is_value(self, e: Term) -> bool:
-        while type(e) is Cast:  # a proxy; classic stacks them, as many as a loop runs
-            if type(e.src) is not Fun or type(e.tgt) is not Fun or not self._proxy(self, e):
-                return False
+        if type(e) is not Cast or type(e.src) is not Fun:
+            return type(e) is Const or type(e) is Abs
+        # a chain of proxies, as long as a classic loop runs: each keeps its
+        # judgment, named for the mode, as modes share terms
+        chain = ()
+        while type(e) is Cast and type(e.src) is Fun and type(e.tgt) is Fun and self._proxy(self, e):
+            if (value := e.__dict__.get(self._judged)) is not None:
+                break
+            chain += (e,)
             e = e.subject
-        return type(e) is Const or type(e) is Abs
+        else:
+            value = type(e) is Const or type(e) is Abs
+        for proxy in chain:
+            proxy.__dict__[self._judged] = value
+        return value
 
     # -- local rules: what happens at a node of each class, ignoring its context
 

@@ -25,13 +25,15 @@ the type nodes checked well formed) and a node that a step did not rebuild
 is never checked again.
 
 A step rebuilds each node from the root to its focus at one child, and
-`carry` gives each, bottom-up, the judgments of the node it rebuilds.  They
-are copied where every rule only checks that child against a type the other
+`carry` gives such a node the judgments of the node it rebuilds.  They are
+copied where every rule only checks that child against a type the other
 parts fix (`_child_type`: a cast's subject, an operator argument, an
 application's argument unless the function is blame), once the new child
 passes; elsewhere (an application's function, a guard or branch, children
 of runtime forms, binder bodies) the node's rule is rerun against each type
-the old node had.  The check of the whole term then hits the memo at the root.
+the old node had.  `harness.check_trace` carries bottom-up and stops where a
+node's judgments come out unchanged, unless a form above replays it
+(`REPLAYING`); the check of the whole term then hits the memo at the root.
 
 One replay answers both runtime questions about predicates: does a
 predicate instance step to `true` (a premise), and does an active check's
@@ -146,6 +148,10 @@ _INFERRED = "type"
 # the forms with checking rules of their own; every other form is checked
 # by inferring its type and comparing
 _CHECKING_FORMS = (Const, Blame, Abs, Cond, App)
+
+# the runtime forms whose rules replay a child instead of typing it, so that
+# what they judge depends on the shape of everything below it
+REPLAYING = (ActiveCheck, CoercionStack)
 
 
 def _remember(cache: dict, key: tuple, verdict: Union[bool, str]) -> None:
@@ -431,23 +437,33 @@ class Checker:
         fn_t = self._infer({}, e.fn, "", self.source)
         return fn_t.dom if type(fn_t) is Fun else None
 
-    def carry(self, spine: list[tuple[Term, Term, int, Term]]) -> None:
-        """Carry judgments up (old, new, i, kid) from the root down, new being
-        old with kid for its i-th child, until a check fails or old has none."""
+    def carry(self, old: Term, i: int, kid: Term, new: Optional[Term] = None) -> Optional[bool]:
+        """Give new, old with kid for its i-th child, old's judgments: copied
+        once kid passes where every rule only checks that child against one
+        type (`_child_type`), else by rerunning new's rule against each type
+        old was checked against.  None if old has none; else whether new has
+        old's judgments, known without new only where they would be copied.
+        A failed check raises."""
 
-        try:
-            for old, new, i, kid in reversed(spine):
-                if (facts := self._memo.get(old)) is None:
-                    return
-                t = self._child_type(new, i)
-                if t is not None:
-                    self._check({}, kid, t, "", self.source)
-                    self._memo[new] = facts.copy()
-                    continue
-                for t in [t for t in facts if t is not _INFERRED]:
-                    self._check({}, new, t, "", self.source)
-        except TypeCheckError:
-            return
+        facts = self._memo.get(old)
+        if facts is None:
+            return None
+        t = self._child_type(old, i)
+        if t is not None:
+            self._check({}, kid, t, "", self.source)
+            if new is not None:
+                self._memo[new] = facts.copy()
+            return True
+        if new is None:
+            return False
+        for t in [t for t in facts if t is not _INFERRED]:
+            self._check({}, new, t, "", self.source)
+        return facts.items() <= self._memo.get(new, {}).items()
+
+    def knows(self, e: Term, t: Type) -> bool:
+        """Whether e is known to check against t."""
+
+        return t in self._memo.get(e, ())
 
     # -- runtime forms
 

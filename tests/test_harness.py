@@ -15,7 +15,7 @@ from lh.harness import (
     gen_source,
     run_fuzz,
 )
-from lh.semantics import OutcomeKind, coercion_merge
+from lh.semantics import Frame, OutcomeKind, coercion_merge
 from lh.surface import parse, parse_type, print_term, print_type
 from lh.syntax import (
     ALL_MODES,
@@ -114,7 +114,7 @@ def test_check_trace_clean(e3):
 
 def test_check_trace_detects_corruption(e3):
     out = eval_term(Mode.CLASSIC, e3, 1_000, trace=True)
-    terms = out.trace_terms()
+    terms = list(out.trace_terms())  # a copy: the trace's own sequence is read-only
     terms[2] = Const(True)  # swap in an ill-typed term
     findings = check_trace(Mode.CLASSIC, terms)
     assert findings and "step 2" in findings[0]
@@ -240,8 +240,8 @@ def _oracle_traces():
             out = eval_term(mode, term, 10_000, trace=True)
             if out.kind is OutcomeKind.BUDGET:
                 continue
-            terms = out.trace_terms()
-            yield mode, terms
+            yield mode, out.trace_terms()  # checked from the machine's frames
+            terms = list(out.trace_terms())  # a copy to corrupt: the trace's own is read-only
             if len(terms) < 2:
                 continue
             j = rng.randrange(1, len(terms))
@@ -340,6 +340,53 @@ def test_check_trace_rules_per_term_do_not_grow_with_depth(monkeypatch):
         assert check_trace(Mode.CLASSIC, terms) == []
         per_term.append(len(rules) / len(terms))
     assert abs(per_term[1] - per_term[0]) <= 1, per_term
+
+
+def test_check_trace_work_per_step_does_not_grow_with_depth(monkeypatch):
+    # counts, not timings, on the machine's own traces of the classic loop,
+    # whose context grows by one pending cast per iteration: nodes read with
+    # held_types plus frames and nodes compared or built, and judgments
+    # carried from one node to another
+    outs = [eval_term(Mode.CLASSIC, parse(_LOOP_SRC + f"loop {n} 0"), 1_000_000, trace=True) for n in (25, 50)]
+    reads, carried = [], []
+    for owner, name, calls in (
+        (harness, "held_types", reads),
+        (harness, "rebuilt_at", reads),
+        (Frame, "rebuild", reads),
+        (Checker, "_child_type", carried),
+    ):
+        counted = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, counted=counted, calls=calls: calls.append(1) or counted(*a))
+    per_term = []
+    for out in outs:
+        reads.clear()
+        carried.clear()
+        terms = out.trace_terms()
+        assert check_trace(Mode.CLASSIC, terms) == []
+        per_term.append((len(reads) / len(terms), len(carried) / len(terms)))
+    (reads_25, carried_25), (reads_50, carried_50) = per_term
+    assert abs(reads_50 - reads_25) <= 1 and abs(carried_50 - carried_25) <= 1, per_term
+
+
+def test_check_trace_catches_a_machine_that_rebuilds_wrongly(monkeypatch):
+    # the machine puts a boolean in where a popped cast's subject belongs;
+    # reading the recorded steps back, the frame path must see the bad term
+    rebuild = Frame.rebuild
+    broken = []
+
+    def rebuild_wrongly(frame, child):
+        if child is not frame.hole and isinstance(frame.orig, Cast) and not broken:
+            broken.append(frame)
+            child = Const(True)
+        return rebuild(frame, child)
+
+    monkeypatch.setattr(Frame, "rebuild", rebuild_wrongly)
+    out = eval_term(Mode.CLASSIC, parse(_LOOP_SRC + "loop 5 0"), 10_000, trace=True)
+    monkeypatch.undo()
+    assert broken
+    findings = check_trace(Mode.CLASSIC, out.trace_terms())
+    assert any("preservation failure" in f for f in findings), findings
+    assert findings == check_trace(Mode.CLASSIC, list(out.trace_terms()))
 
 
 def test_checker_memo_keeps_expected_types_apart():

@@ -519,3 +519,43 @@ def test_eidetic_cast_congruence_single_step(seed):
     assert a.kind is b.kind and a.label == b.label
     if a.kind is OutcomeKind.VALUE:
         assert alpha_eq(a.term, b.term)
+
+
+def _proxy_loop(name: str, n: int):
+    prog = load_example(name)
+    return App(App(prog.fn.fn, Const(n)), prog.arg)
+
+
+def _walked_value(mach: Machine, e) -> bool:
+    """The value judgment without the cache: walk the whole proxy chain."""
+
+    while type(e) is Cast:
+        if type(e.src) is not Fun or type(e.tgt) is not Fun or not mach._proxy(mach, e):
+            return False
+        e = e.subject
+    return type(e) is Const or type(e) is Abs
+
+
+def test_cached_value_judgment_matches_the_walk_in_every_mode():
+    # one term runs in all four modes first, so every mode's judgments sit
+    # on the nodes the modes share before any is compared (each mode keeps
+    # its own, so none can leak into another)
+    term = _proxy_loop("proxy_loop.lh", 10)
+    traces = {mode: machine(mode).eval(term, 100_000, trace=True).trace_terms() for mode in ALL_MODES}
+    proxies = 0
+    for mode, terms in traces.items():
+        mach = machine(mode)
+        for t in terms:
+            for node in subterms(t):
+                assert mach.is_value(node) == _walked_value(mach, node), (mode, print_term(node))
+                proxies += type(node) is Cast and type(node.src) is Fun and _walked_value(mach, node)
+    assert proxies  # some proxies were judged
+
+
+def test_proxy_loop_blame_labels_agree_in_classic_and_eidetic():
+    # the first iteration's inner cast blames: lb at even n, ld at odd n
+    for n in range(1, 51):
+        term = _proxy_loop("proxy_loop_blame.lh", n)
+        labels = [machine(mode).eval(term, 100_000).label for mode in (Mode.CLASSIC, Mode.EIDETIC)]
+        assert labels == ["lb" if n % 2 == 0 else "ld"] * 2, n
+
