@@ -2,25 +2,29 @@
 
 Grammar sketch (comments run `--` to end of line)::
 
-    program  ::= decl* expr
-    decl     ::= "let" ["rec"] IDENT [":" type] "=" expr ";"
-    expr     ::= "\\" IDENT ":" type "." expr
+    program  ::= expr
+    expr     ::= decl expr
+               | "\\" IDENT ":" type "." expr
                | "if" expr "then" expr "else" expr
-               | orexpr
-    orexpr   ::= andexpr ("||" andexpr)*
-    andexpr  ::= cmpexpr ("&&" cmpexpr)*
-    cmpexpr  ::= addexpr [("="|"<>"|"<"|"<="|">"|">=") addexpr]
-    addexpr  ::= mulexpr (("+"|"-") mulexpr)*
-    mulexpr  ::= unary (("*"|"mod"|"div") unary)*
+               | binary
+    decl     ::= "let" ["rec"] IDENT [":" type] "=" expr ";"
+    binary   ::= binary BINOP binary | unary
     unary    ::= "not" unary | "-" INT | "-" unary | appexpr
     appexpr  ::= ("<" type "=>" type "@" IDENT ">" appexpr | atom) atom*
     atom     ::= INT | "true" | "false" | IDENT | "(" expr ")"
     type     ::= atomtype ["->" type]
     atomtype ::= "{" IDENT ":" ("Int"|"Bool") "|" expr "}" | "(" type ")"
 
+`BINOP`'s precedence and associativity are `_BINOP_LEVEL`, the one table that
+both the parser and the printer read: `||` binds loosest, then `&&`, the
+comparisons, `+ -` and `* mod div`; each level associates to the left, and a
+comparison takes at most one operator (`1 < 2 < 3` is an error).
+
 `let` is elaborated by substitution, `let rec` (annotation required) by Fix.
-Shadowed binders are renamed apart while parsing.  Runtime-only forms print
-with sigils (`blame l`, `check<...>`, `stack<...>`) that parse rejects.
+The declarations a program opens with are one chain whose names must differ;
+a chain inside an expression may shadow a name.  Shadowed binders are
+renamed apart while parsing.  Runtime-only forms print with sigils
+(`blame l`, `check<...>`, `stack<...>`) that parse rejects.
 """
 
 from __future__ import annotations
@@ -62,20 +66,6 @@ class ParseError(Exception):
         self.message = message
         self.line = line
         self.column = column
-
-
-@dataclass(frozen=True)
-class Decl:
-    name: str
-    annot: Optional[Type]
-    body: Term
-    recursive: bool
-
-
-@dataclass(frozen=True)
-class SourceFile:
-    decls: tuple[Decl, ...]
-    main: Term
 
 
 KEYWORDS = {"if", "then", "else", "let", "rec", "true", "false", "not", "mod", "div", "Int", "Bool"}
@@ -123,10 +113,34 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+_LEVEL_OR, _LEVEL_AND, _LEVEL_CMP, _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_APP, _LEVEL_ATOM = range(1, 9)
+_LEVEL_LOW = 0
+
+_BINOP_LEVEL = {
+    "||": _LEVEL_OR,
+    "&&": _LEVEL_AND,
+    "=": _LEVEL_CMP,
+    "<>": _LEVEL_CMP,
+    "<": _LEVEL_CMP,
+    "<=": _LEVEL_CMP,
+    ">": _LEVEL_CMP,
+    ">=": _LEVEL_CMP,
+    "+": _LEVEL_ADD,
+    "-": _LEVEL_ADD,
+    "*": _LEVEL_MUL,
+    "mod": _LEVEL_MUL,
+    "div": _LEVEL_MUL,
+}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        # the names of the declarations the text opens with, and the token
+        # where the next one of that chain would start
+        self.chain: list[str] = []
+        self.chain_end = 0
 
     # -- token plumbing
 
@@ -152,34 +166,6 @@ class _Parser:
         tok = self.peek(ahead)
         return tok.kind == kind and (text is None or tok.text == text)
 
-    # -- program structure
-
-    def parse_program(self) -> SourceFile:
-        decls: list[Decl] = []
-        while self.at("kw", "let"):
-            decls.append(self.parse_decl())
-        main = self.parse_expr()
-        self.eat("eof")
-        return SourceFile(tuple(decls), main)
-
-    def parse_decl(self) -> Decl:
-        self.eat("kw", "let")
-        recursive = False
-        if self.at("kw", "rec"):
-            self.next()
-            recursive = True
-        name = self.eat("ident").text
-        annot = None
-        if self.at("punct", ":"):
-            self.next()
-            annot = self.parse_type()
-        if recursive and annot is None:
-            raise self.error("let rec requires a type annotation")
-        self.eat("punct", "=")
-        body = self.parse_expr()
-        self.eat("punct", ";")
-        return Decl(name, annot, body, recursive)
-
     # -- expressions
 
     def parse_expr(self) -> Term:
@@ -198,46 +184,42 @@ class _Parser:
             self.eat("kw", "else")
             return Cond(guard, then, self.parse_expr())
         if self.at("kw", "let"):
-            decl = self.parse_decl()
-            rest = self.parse_expr()
-            value = Fix(decl.name, decl.annot, decl.body) if decl.recursive else decl.body
-            return subst(rest, decl.name, value)
-        return self.parse_or()
-
-    def parse_or(self) -> Term:
-        e = self.parse_and()
-        while self.at("punct", "||"):
+            in_chain = self.pos == self.chain_end
             self.next()
-            e = Op("||", (e, self.parse_and()))
-        return e
-
-    def parse_and(self) -> Term:
-        e = self.parse_cmp()
-        while self.at("punct", "&&"):
-            self.next()
-            e = Op("&&", (e, self.parse_cmp()))
-        return e
-
-    def parse_cmp(self) -> Term:
-        e = self.parse_add()
-        for op in ("=", "<>", "<", "<=", ">", ">="):
-            if self.at("punct", op):
+            recursive = self.at("kw", "rec")
+            if recursive:
                 self.next()
-                return Op(op, (e, self.parse_add()))
-        return e
+            name = self.eat("ident").text
+            annot = None
+            if self.at("punct", ":"):
+                self.next()
+                annot = self.parse_type()
+            if recursive and annot is None:
+                raise self.error("let rec requires a type annotation")
+            self.eat("punct", "=")
+            value = self.parse_expr()
+            self.eat("punct", ";")
+            if in_chain:
+                self.chain.append(name)
+                self.chain_end = self.pos
+            rest = self.parse_expr()
+            return subst(rest, name, Fix(name, annot, value) if recursive else value)
+        return self.parse_binary(_LEVEL_OR)
 
-    def parse_add(self) -> Term:
-        e = self.parse_mul()
-        while self.at("punct", "+") or self.at("punct", "-"):
-            op = self.next().text
-            e = Op(op, (e, self.parse_mul()))
-        return e
+    def parse_binary(self, level: int) -> Term:
+        """Operators of `level` or tighter, by precedence climbing over
+        `_BINOP_LEVEL` (Pratt, 1973).  An operand's own call takes the
+        tighter operators, so only operators of its level or looser can
+        follow it here: those of its level associate to the left, and after
+        a comparison only looser ones may follow."""
 
-    def parse_mul(self) -> Term:
         e = self.parse_unary()
-        while self.at("punct", "*") or self.at("kw", "mod") or self.at("kw", "div"):
+        ceiling = _LEVEL_MUL
+        while level <= _BINOP_LEVEL.get(self.peek().text, _LEVEL_LOW) <= ceiling:
             op = self.next().text
-            e = Op(op, (e, self.parse_unary()))
+            op_level = _BINOP_LEVEL[op]
+            e = Op(op, (e, self.parse_binary(op_level + 1)))
+            ceiling = op_level - 1 if op_level == _LEVEL_CMP else op_level
         return e
 
     def parse_unary(self) -> Term:
@@ -319,29 +301,18 @@ class _Parser:
         return Refinement(binder, base, predicate)
 
 
-def parse_program(text: str) -> SourceFile:
-    """Parse a whole file into declarations plus the main expression."""
-
-    source = _Parser(text).parse_program()
-    names = [d.name for d in source.decls]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise ParseError(f"duplicate declaration {dup!r}", 1, 1)
-    return source
-
-
-def elaborate(source: SourceFile) -> Term:
-    term = source.main
-    for decl in reversed(source.decls):
-        value = Fix(decl.name, decl.annot, decl.body) if decl.recursive else decl.body
-        term = subst(term, decl.name, value)
-    return _unshadow(term, {}, set(), itertools.count(1))
-
-
 def parse(text: str) -> Term:
-    """Parse a program to a single elaborated term."""
+    """Parse a program, a chain of declarations then an expression, to one
+    elaborated term."""
 
-    return elaborate(parse_program(text))
+    parser = _Parser(text)
+    term = parser.parse_expr()
+    parser.eat("eof")
+    names = parser.chain
+    dup = next((n for n in names if names.count(n) > 1), None)
+    if dup is not None:
+        raise ParseError(f"duplicate declaration {dup!r}", 1, 1)
+    return _unshadow(term, {}, set(), itertools.count(1))
 
 
 def parse_type(text: str) -> Type:
@@ -355,7 +326,7 @@ def parse_type(text: str) -> Type:
 
 def _unshadow(node, env: dict[str, str], used: set[str], counter):
     """Rename binders apart so no variable shadows another.  Fresh names are
-    numbered from counter, one per `elaborate` call, not per process."""
+    numbered from counter, one per `parse` call, not per process."""
 
     if isinstance(node, Var):
         return Var(env.get(node.name, node.name))
@@ -378,25 +349,6 @@ def _unshadow(node, env: dict[str, str], used: set[str], counter):
 
 # ---------------------------------------------------------------------------
 # Printing
-
-_LEVEL_OR, _LEVEL_AND, _LEVEL_CMP, _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_APP, _LEVEL_ATOM = range(1, 9)
-_LEVEL_LOW = 0
-
-_BINOP_LEVEL = {
-    "||": _LEVEL_OR,
-    "&&": _LEVEL_AND,
-    "=": _LEVEL_CMP,
-    "<>": _LEVEL_CMP,
-    "<": _LEVEL_CMP,
-    "<=": _LEVEL_CMP,
-    ">": _LEVEL_CMP,
-    ">=": _LEVEL_CMP,
-    "+": _LEVEL_ADD,
-    "-": _LEVEL_ADD,
-    "*": _LEVEL_MUL,
-    "mod": _LEVEL_MUL,
-    "div": _LEVEL_MUL,
-}
 
 
 def print_term(e: Term) -> str:

@@ -783,29 +783,21 @@ def alpha_eq(a: Node, b: Node) -> bool:
 
 def type_keys(node: Node) -> frozenset[str]:
     """Canonical keys of every type (with its structural parts) occurring in
-    node; a term's are the union of its held types' keys."""
+    node, on an explicit stack; a term's are the union of its held types'
+    keys.  Cached on node, and read from any type node that has them."""
 
     cached = getattr(node, "_tkeys", None)
     if cached is not None:
         return cached
-    if isinstance(node, (Refinement, Fun)):
-        return _cache(node, "_tkeys", frozenset(_types_in(node)))
-    keys: set[str] = set()
-    for e in subterms(node):
-        whole, alone = held_types(e)
-        if whole:
-            keys.update(map(canon, alone), *map(type_keys, whole))
-    return _cache(node, "_tkeys", frozenset(keys))
-
-
-def _types_in(node: Node) -> set[str]:
-    """Canonical keys of every type occurring in node, on an explicit stack."""
-
     found: set[str] = set()
     todo: list[Node] = [node]
     while todo:
         n = todo.pop()
         if isinstance(n, (Refinement, Fun)):
+            known = getattr(n, "_tkeys", None)
+            if known is not None:
+                found |= known
+                continue
             found.add(canon(n))
             todo += (n.cod, n.dom) if isinstance(n, Fun) else (n.predicate,)
         else:
@@ -813,4 +805,4 @@ def _types_in(node: Node) -> set[str]:
                 whole, alone = held_types(e)
                 todo += whole
                 found.update(map(canon, alone))
-    return found
+    return _cache(node, "_tkeys", frozenset(found))

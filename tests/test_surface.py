@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lh.harness import gen_source
-from lh.surface import ParseError, parse, parse_type, print_term, print_type
-from lh.syntax import Abs, App, Cond, Const, Fix, Op, alpha_eq
+from lh.semantics import OPS
+from lh.surface import _BINOP_LEVEL, ParseError, parse, parse_type, print_term, print_type
+from lh.syntax import Abs, App, Cond, Const, Fix, Op, Var, alpha_eq
 
 
 def test_precedence():
@@ -18,6 +21,32 @@ def test_precedence():
 def test_comparison_non_associative():
     with pytest.raises(ParseError):
         parse("1 < 2 < 3")
+
+
+def test_binop_table_names_every_binary_operator():
+    assert set(_BINOP_LEVEL) == {name for name, (doms, _, _) in OPS.items() if len(doms) == 2}
+
+
+def _assert_roundtrips(t):
+    text = print_term(t)
+    back = parse(text)
+    assert alpha_eq(back, t), text
+    assert print_term(back) == text
+
+
+def test_every_operator_pair_roundtrips():
+    # the parser and the printer read precedence from one table; every
+    # ordered pair of binary operators, nested either way, must agree on it
+    x, y, z = Var("x"), Var("y"), Var("z")
+    for outer, inner in itertools.product(sorted(_BINOP_LEVEL), repeat=2):
+        _assert_roundtrips(Op(outer, (Op(inner, (x, y)), z)))
+        _assert_roundtrips(Op(outer, (x, Op(inner, (y, z)))))
+    for op in sorted(_BINOP_LEVEL):
+        _assert_roundtrips(Op("not", (Op(op, (x, y)),)))
+        _assert_roundtrips(Op(op, (Op("not", (x,)), Op("not", (y,)))))
+        _assert_roundtrips(Op(op, (Const(-1), Const(-2))))
+        _assert_roundtrips(Op(op, (Op("-", (Const(0), Const(-3))), App(x, Const(-4)))))
+        _assert_roundtrips(Op("not", (Op(op, (Const(-5), y)),)))
 
 
 def test_negative_literals():
@@ -36,6 +65,21 @@ def test_let_and_let_rec():
 def test_duplicate_declaration_rejected():
     with pytest.raises(ParseError):
         parse("let a = 1; let a = 2; a")
+    # reported at 1:1, naming the first-declared name that occurs twice
+    with pytest.raises(ParseError, match=r"^1:1: duplicate declaration 'a'$"):
+        parse("let a = 1; let a = 2; a")
+    with pytest.raises(ParseError, match=r"^1:1: duplicate declaration 'a'$"):
+        parse("let a = 1; let b = 2; let b = 3; let a = 4; a")
+    # only once the whole program has parsed: a syntax error comes first
+    with pytest.raises(ParseError, match=r"^1:26: expected an expression"):
+        parse("let a = 1; let a = 2; a +")
+    with pytest.raises(ParseError, match=r"^1:24: expected eof \(found '\)'\)$"):
+        parse("let a = 1; let a = 2; a)")
+
+
+def test_a_chain_inside_an_expression_may_shadow():
+    for text in ("(let a = 1; let a = 2; a)", "let a = 1; (let a = 2; a)"):
+        assert alpha_eq(parse(text), Const(2)), text
 
 
 def test_comments_and_whitespace():
