@@ -19,14 +19,13 @@ import os
 import sys
 from typing import Optional
 
-from .harness import diff_modes, run_fuzz
+from .harness import diff_modes, outcome_dict, run_fuzz
 from .metering import Meter, series_json
 from .semantics import (
     CHOOSE_POLICIES,
     DEFAULT_ORACLE,
     ImplicationOracle,
     Machine,
-    Outcome,
     OutcomeKind,
     axiom_oracle,
 )
@@ -103,34 +102,13 @@ def _read_program(path: str) -> tuple[Term, Type]:
 _INPUT_ERRORS = (InputError, ParseError, TypeCheckError)
 
 
-def _outcome_dict(out: Outcome) -> dict:
-    return {
-        "kind": out.kind.name.lower(),
-        "value": print_term(out.term) if out.term is not None else None,
-        "label": out.label,
-        "steps": out.steps,
-        "stuck_reason": out.stuck_reason,
-    }
-
-
-def _outcome_exit(out: Outcome) -> int:
-    return {
-        OutcomeKind.VALUE: EXIT_VALUE,
-        OutcomeKind.BLAME: EXIT_BLAME,
-        OutcomeKind.STUCK: EXIT_STUCK,
-        OutcomeKind.BUDGET: EXIT_BUDGET,
-    }[out.kind]
-
-
-def _print_outcome(out: Outcome) -> None:
-    if out.kind is OutcomeKind.VALUE:
-        print(print_term(out.term))
-    elif out.kind is OutcomeKind.BLAME:
-        print(f"blame {out.label}")
-    elif out.kind is OutcomeKind.STUCK:
-        print(f"stuck: {out.stuck_reason}")
-    else:
-        print(f"budget exceeded after {out.steps} steps")
+# each outcome kind's exit code and the line `lh run` prints for it
+_OUTCOMES = {
+    OutcomeKind.VALUE: (EXIT_VALUE, lambda out: print_term(out.term)),
+    OutcomeKind.BLAME: (EXIT_BLAME, lambda out: f"blame {out.label}"),
+    OutcomeKind.STUCK: (EXIT_STUCK, lambda out: f"stuck: {out.stuck_reason}"),
+    OutcomeKind.BUDGET: (EXIT_BUDGET, lambda out: f"budget exceeded after {out.steps} steps"),
+}
 
 
 def cmd_check(args) -> int:
@@ -159,7 +137,7 @@ def cmd_run(args) -> int:
             payload = {
                 "mode": args.mode.value,
                 "budget": args.budget,
-                "result": _outcome_dict(out),
+                "result": outcome_dict(out),
             }
             if args.trace:
                 payload["trace"] = [
@@ -174,7 +152,7 @@ def cmd_run(args) -> int:
                     print(f"{s.index:6d} {s.rule}")
             if meter is not None:
                 print("max " + " ".join(f"{k}={v}" for k, v in meter.max.as_dict().items()))
-            _print_outcome(out)
+            print(_OUTCOMES[out.kind][1](out))
     except (*_INPUT_ERRORS, RecursionError) as exc:
         # _read_program reports a program too deep to parse or type as an input error
         deep = isinstance(exc, RecursionError)
@@ -184,7 +162,7 @@ def cmd_run(args) -> int:
         else:
             print(f"error: {message}", file=sys.stderr)
         return EXIT_TOO_DEEP if deep else EXIT_INPUT_ERROR
-    return _outcome_exit(out)
+    return _OUTCOMES[out.kind][0]
 
 
 def cmd_diff(args) -> int:

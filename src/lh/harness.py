@@ -170,22 +170,17 @@ class _Gen:
 
 def gen_source(seed: int, size: int) -> Term:
     """Deterministically generate a closed, well-typed source program whose
-    result type is a refined base type."""
+    result type is a refined base type.  It is typechecked: a program the
+    generator builds ill-typed raises `TypeCheckError`."""
 
     if size < 1:
         raise ValueError("size must be at least 1")
-    for attempt in range(100):
-        rng = random.Random(f"{seed}:{size}:{attempt}")
-        gen = _Gen(rng)
-        base = BaseType.INT if rng.random() < 0.8 else BaseType.BOOL
-        result_ty = gen.pick_ref(base)
-        term = gen.term(result_ty, size, [])
-        try:
-            check_source(term)
-        except TypeCheckError:
-            continue
-        return term
-    raise AssertionError(f"generation failed to type for seed={seed} size={size}")
+    rng = random.Random(f"{seed}:{size}:0")
+    gen = _Gen(rng)
+    base = BaseType.INT if rng.random() < 0.8 else BaseType.BOOL
+    term = gen.term(gen.pick_ref(base), size, [])
+    check_source(term)
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +197,24 @@ class Verdict:
         return self.status == "fail"
 
 
+def verdict(holds: bool, claim: str) -> Verdict:
+    """A pass if holds, else a failure of the claim."""
+
+    return Verdict("pass") if holds else Verdict("fail", claim)
+
+
+def outcome_dict(out: Outcome) -> dict:
+    """An outcome's JSON form, in `lh run --json` and in diff and fuzz reports."""
+
+    return {
+        "kind": out.kind.name.lower(),
+        "value": print_term(out.term) if out.term is not None else None,
+        "label": out.label,
+        "steps": out.steps,
+        "stuck_reason": out.stuck_reason,
+    }
+
+
 @dataclass
 class DiffReport:
     term: Term
@@ -213,25 +226,12 @@ class DiffReport:
 
     @property
     def failed(self) -> bool:
-        return (
-            self.forgetful_ok.failed
-            or self.heedful_ok.failed
-            or self.eidetic_ok.failed
-            or bool(self.findings)
-        )
+        return any(v.failed for v in (self.forgetful_ok, self.heedful_ok, self.eidetic_ok)) or bool(self.findings)
 
     def as_dict(self) -> dict:
         return {
             "term": print_term(self.term),
-            "outcomes": {
-                m.value: {
-                    "kind": out.kind.name.lower(),
-                    "label": out.label,
-                    "value": print_term(out.term) if out.term is not None else None,
-                    "steps": out.steps,
-                }
-                for m, out in self.outcomes.items()
-            },
+            "outcomes": {m.value: outcome_dict(out) for m, out in self.outcomes.items()},
             "forgetful_ok": vars(self.forgetful_ok),
             "heedful_ok": vars(self.heedful_ok),
             "eidetic_ok": vars(self.eidetic_ok),
@@ -243,56 +243,54 @@ def _same_const(a: Optional[Term], b: Optional[Term]) -> bool:
     return isinstance(a, Const) and isinstance(b, Const) and a.value == b.value and a.base is b.base
 
 
-def diff_modes(e: Term, budget: int = 10_000) -> DiffReport:
-    if any(isinstance(s, Fix) for s in subterms(e)):
-        skip = Verdict("skip", "recursive programs are outside the cross-mode lemmas")
-        return DiffReport(e, {}, skip, skip, skip)
+def _skipped(e: Term, outcomes: dict[Mode, Outcome], reason: str, findings: list[str]) -> DiffReport:
+    skip = Verdict("skip", reason)
+    return DiffReport(e, outcomes, skip, skip, skip, findings)
 
-    outcomes = {m: semantics.eval_term(m, e, budget) for m in ALL_MODES}
+
+def diff_modes(e: Term, budget: int = 10_000) -> DiffReport:
+    """`judge` e's outcomes in every mode; a program holding a `Fix` is
+    skipped without running it."""
+
+    if any(isinstance(s, Fix) for s in subterms(e)):
+        return _skipped(e, {}, "recursive programs are outside the cross-mode lemmas", [])
+    return judge(e, {m: semantics.eval_term(m, e, budget) for m in ALL_MODES})
+
+
+def judge(e: Term, outcomes: dict[Mode, Outcome]) -> DiffReport:
+    """The cross-mode claims on e's outcomes in every mode: forgetful gives
+    classic's value, heedful co-terminates with classic, and eidetic gives
+    classic's outcome, blame label included.  Each mode that got stuck is a
+    finding.  The claims are lemmas about programs without `Fix`, which
+    `diff_modes` skips and `gen_source` never emits."""
+
     findings = [
-        f"{m.value}: stuck ({out.stuck_reason})"
-        for m, out in outcomes.items()
-        if out.kind is OutcomeKind.STUCK
+        f"{m.value}: stuck ({out.stuck_reason})" for m, out in outcomes.items() if out.kind is OutcomeKind.STUCK
     ]
     if any(out.kind is OutcomeKind.BUDGET for out in outcomes.values()):
-        skip = Verdict("skip", "budget exceeded")
-        return DiffReport(e, outcomes, skip, skip, skip, findings)
-
+        return _skipped(e, outcomes, "budget exceeded", findings)
     c, f, h, ed = (outcomes[m] for m in ALL_MODES)
+    value = c.kind is OutcomeKind.VALUE
+    if value and not isinstance(c.term, Const):
+        return _skipped(e, outcomes, "function-typed result is not comparable", findings)
 
-    def value_like(out: Outcome) -> bool:
-        return out.kind is OutcomeKind.VALUE
+    def gives_value(out: Outcome) -> bool:
+        return out.kind is OutcomeKind.VALUE and _same_const(c.term, out.term)
 
-    if value_like(c) and not isinstance(c.term, Const):
-        skip = Verdict("skip", "function-typed result is not comparable")
-        return DiffReport(e, outcomes, skip, skip, skip, findings)
+    def blames(out: Outcome) -> bool:
+        return out.kind is OutcomeKind.BLAME
 
-    if value_like(c):
-        forgetful = (
-            Verdict("pass")
-            if value_like(f) and _same_const(c.term, f.term)
-            else Verdict("fail", "classic produced a value but forgetful diverged from it")
-        )
-    else:
-        forgetful = Verdict("pass")
-
-    heedful_blame_ok = (c.kind is OutcomeKind.BLAME) == (h.kind is OutcomeKind.BLAME)
-    heedful_value_ok = not value_like(c) or (value_like(h) and _same_const(c.term, h.term))
-    heedful = (
-        Verdict("pass")
-        if heedful_blame_ok and heedful_value_ok
-        else Verdict("fail", "classic and heedful outcomes do not coterminate")
+    return DiffReport(
+        e,
+        outcomes,
+        verdict(not value or gives_value(f), "classic produced a value but forgetful diverged from it"),
+        verdict(blames(c) == blames(h) and (not value or gives_value(h)), "classic and heedful outcomes do not coterminate"),
+        verdict(
+            gives_value(ed) if value else blames(c) and blames(ed) and c.label == ed.label,
+            "eidetic outcome differs from classic (kind, label, or value)",
+        ),
+        findings,
     )
-
-    if c.kind is ed.kind and (
-        (c.kind is OutcomeKind.BLAME and c.label == ed.label)
-        or (c.kind is OutcomeKind.VALUE and _same_const(c.term, ed.term))
-    ):
-        eidetic = Verdict("pass")
-    else:
-        eidetic = Verdict("fail", "eidetic outcome differs from classic (kind, label, or value)")
-
-    return DiffReport(e, outcomes, forgetful, heedful, eidetic, findings)
 
 
 # ---------------------------------------------------------------------------
@@ -581,22 +579,16 @@ def run_fuzz(
     for i in range(count):
         size = rng.randint(min_size, max_size)
         term = gen_source(seed * 1_000_003 + i, size)
-        report = diff_modes(term, budget)
-        if report.outcomes and any(o.kind is OutcomeKind.BUDGET for o in report.outcomes.values()):
-            exceeded += 1
-        if report.outcomes and any(o.kind is OutcomeKind.STUCK for o in report.outcomes.values()):
-            stuck += 1
+        runs = {m: semantics.eval_term(m, term, budget, trace=check_traces) for m in ALL_MODES}
+        report = judge(term, runs)
+        kinds = {out.kind for out in runs.values()}
+        exceeded += OutcomeKind.BUDGET in kinds
+        stuck += OutcomeKind.STUCK in kinds
         if report.failed:
             failures.append({"index": i, "size": size, **report.as_dict()})
             continue
         if check_traces:
-            for mode in ALL_MODES:
-                out = semantics.eval_term(mode, term, budget, trace=True)
-                if out.kind is OutcomeKind.BUDGET:
-                    continue
-                found = check_trace(mode, out.trace_terms())
-                if found:
-                    failures.append(
-                        {"index": i, "size": size, "mode": mode.value, "trace_findings": found}
-                    )
+            for mode, out in runs.items():
+                if out.kind is not OutcomeKind.BUDGET and (found := check_trace(mode, out.trace_terms())):
+                    failures.append({"index": i, "size": size, "mode": mode.value, "trace_findings": found})
     return FuzzReport(count, seed, failures, exceeded, stuck)

@@ -303,6 +303,8 @@ def apply_op(name: str, args: list[Const]) -> Const:
     op = OPS.get(name)
     if op is None:
         raise OpUndefined(f"unknown operation {name!r}")
+    if len(args) != len(op[0]):
+        raise OpUndefined(f"{name!r} expects {len(op[0])} arguments")
     return Const(op[2](*(a.value for a in args)))
 
 
@@ -421,7 +423,7 @@ class Frame:
         self.hole = hole
 
     def rebuild(self, child: Term) -> Term:
-        return self.orig if child is self.hole else with_child(self.orig, self.index, child)
+        return with_child(self.orig, self.index, child)
 
 
 # An evaluation context as a persistent stack: None is the empty context and
@@ -450,7 +452,7 @@ class Machine:
         # annotation class its casts carry once annotated (see _RULES below)
         self._rules = _RULES[mode]
         self._proxy = _PROXIES[mode]
-        self._ann = _ANNOTATIONS[mode]
+        self._ann = ANNOTATIONS[mode]
         self._judged = f"_value_{mode.value}"  # where a proxy keeps its value judgment
 
     # -- value judgment
@@ -580,7 +582,7 @@ class Machine:
             if type(k) is not Const:
                 return (_STUCK, "refinement cast over a non-constant value")
             if ann is not self._ann:
-                return (_STUCK, _FOREIGN_ANNOTATION[ann])
+                return (_STUCK, FOREIGN_ANNOTATION[ann])
             if ann is EmptyAnn:
                 return (_STEP, self._start_check(tgt, k, e.label), "E-CheckNoneC")
             if ann is Types:
@@ -729,8 +731,10 @@ _PROXIES: dict[Mode, Callable[[Machine, Cast], bool]] = {
     ),
 }
 
-_ANNOTATIONS = {Mode.CLASSIC: EmptyAnn, Mode.FORGETFUL: EmptyAnn, Mode.HEEDFUL: Types, Mode.EIDETIC: Coerce}
-_FOREIGN_ANNOTATION = {
+# The annotation class a mode's casts carry once annotated, and why a cast
+# carrying another class is out of place; the typechecker reads both.
+ANNOTATIONS = {Mode.CLASSIC: EmptyAnn, Mode.FORGETFUL: EmptyAnn, Mode.HEEDFUL: Types, Mode.EIDETIC: Coerce}
+FOREIGN_ANNOTATION = {
     EmptyAnn: "unannotated refinement cast in an annotating mode",
     Types: "type-set annotation outside heedful mode",
     Coerce: "coercion annotation outside eidetic mode",

@@ -330,8 +330,6 @@ def _unshadow(node, env: dict[str, str], used: set[str], counter):
 
     if isinstance(node, Var):
         return Var(env.get(node.name, node.name))
-    if isinstance(node, (ActiveCheck, CoercionStack)):
-        raise ParseError("runtime-only form in source program", 1, 1)
 
     def scope(binder: str, part):
         renamed = binder

@@ -49,7 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from .semantics import DEFAULT_ORACLE, OPS, ImplicationOracle, IsBlame, Machine, Stepped, implies
+from .semantics import (
+    ANNOTATIONS, DEFAULT_ORACLE, FOREIGN_ANNOTATION, OPS, ImplicationOracle, IsBlame, Machine, Stepped, implies
+)
 from .syntax import (
     ALL_MODES,
     Abs,
@@ -235,18 +237,17 @@ class Checker:
         self.wf_type(t2, path + "/tgt")
         if not similar(t1, t2):
             raise TypeCheckError(NOT_SIMILAR, path, "cast between dissimilar types")
-        if isinstance(ann, EmptyAnn):
+        kind = type(ann)
+        if kind is EmptyAnn:
             return
-        if isinstance(ann, Types):
-            if self.mode is not Mode.HEEDFUL:
-                raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "type-set annotation outside heedful mode")
+        if kind is not ANNOTATIONS[self.mode]:
+            raise TypeCheckError(ILL_FORMED_ANNOTATION, path, FOREIGN_ANNOTATION[kind])
+        if kind is Types:
             for t in ann.types:
                 self.wf_type(t, path + "/set")
                 if not similar(t, t1):
                     raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "type-set member dissimilar to the cast")
             return
-        if self.mode is not Mode.EIDETIC:
-            raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "coercion annotation outside eidetic mode")
         self._wf_coercion(ann.coercion, t1, t2, path)
 
     def _wf_coercion(self, c: Coercion, t1: Type, t2: Type, path: str) -> None:

@@ -13,23 +13,18 @@ from lh.harness import (
     check_trace,
     diff_modes,
     gen_source,
+    judge,
     run_fuzz,
 )
-from lh.semantics import Frame, OutcomeKind, coercion_merge
+from lh.semantics import Frame, Machine, Outcome, OutcomeKind, coercion_merge
 from lh.surface import parse, parse_type, print_term, print_type
 from lh.syntax import (
     ALL_MODES,
-    Abs,
-    ActiveCheck,
     App,
     Cast,
-    CoercionStack,
-    Cond,
     Const,
-    Fix,
     Fun,
     Mode,
-    Op,
     Refinement,
     Refs,
     alpha_eq,
@@ -99,6 +94,29 @@ def test_diff_modes_passing_cast():
         assert out.kind is OutcomeKind.VALUE and out.term.value == 5
 
 
+def test_judge_fails_each_claim_with_its_own_text():
+    one, two = (Outcome(OutcomeKind.VALUE, term=Const(k)) for k in (1, 2))
+    l1, l2 = (Outcome(OutcomeKind.BLAME, label=label) for label in ("l1", "l2"))
+    stuck, budget = Outcome(OutcomeKind.STUCK, stuck_reason="r"), Outcome(OutcomeKind.BUDGET)
+    fn = Outcome(OutcomeKind.VALUE, term=parse("\\x:{x:Int|true}. x"))
+
+    def reasons(*outs):
+        report = judge(Const(1), dict(zip(ALL_MODES, outs)))
+        return [v.reason for v in (report.forgetful_ok, report.heedful_ok, report.eidetic_ok)], report.findings
+
+    forgetful = "classic produced a value but forgetful diverged from it"
+    heedful = "classic and heedful outcomes do not coterminate"
+    eidetic = "eidetic outcome differs from classic (kind, label, or value)"
+    assert reasons(one, one, one, one) == (["", "", ""], [])
+    assert reasons(one, two, one, one) == ([forgetful, "", ""], [])
+    assert reasons(l1, one, one, l1) == (["", heedful, ""], [])
+    assert reasons(l1, l1, l2, l2) == (["", "", eidetic], [])
+    assert reasons(stuck, stuck, stuck, stuck) == (["", "", eidetic], [f"{m.value}: stuck (r)" for m in ALL_MODES])
+    # a budget skip comes before a function result's
+    assert reasons(fn, budget, fn, fn)[0] == ["budget exceeded"] * 3
+    assert reasons(fn, one, two, l1)[0] == ["function-typed result is not comparable"] * 3
+
+
 def test_diff_modes_skips_fix():
     e = parse("let rec f : {x:Int|true} -> {x:Int|true} = \\x:{x:Int|true}. f x; f 1")
     report = diff_modes(e)
@@ -142,17 +160,6 @@ def _reference_check_trace(mode, terms):
     return findings
 
 
-_CHILD_FIELDS = {
-    Abs: ("body",),
-    Fix: ("body",),
-    App: ("fn", "arg"),
-    Cast: ("subject",),
-    ActiveCheck: ("current", "scrutinee"),
-    CoercionStack: ("current", "scrutinee"),
-    Cond: ("guard", "then", "orelse"),
-}
-
-
 def _swap_deepest(term, swap):
     """term with its deepest node for which swap gives a replacement replaced,
     rebuilding only the nodes on the path to it; None if swap gives none."""
@@ -169,12 +176,7 @@ def _swap_deepest(term, swap):
         return None
     new, path = best
     for parent, i in reversed(path):
-        kids = list(children(parent))
-        kids[i] = new
-        if isinstance(parent, Op):
-            new = Op(parent.name, tuple(kids))
-        else:
-            new = dataclasses.replace(parent, **dict(zip(_CHILD_FIELDS[type(parent)], kids)))
+        new = with_child(parent, i, new)
     return new
 
 
@@ -446,6 +448,16 @@ def test_coercion_eq():
         assert coercion_eq(c, c)
         if isinstance(c, Refs) and c.entries:
             assert not coercion_eq(c, Refs(()))
+
+
+def test_run_fuzz_runs_each_mode_once_per_program(monkeypatch):
+    # the traces it checks are those of the runs it judged
+    calls = []
+    real = Machine.eval
+    monkeypatch.setattr(Machine, "eval", lambda self, *a, **kw: calls.append(kw) or real(self, *a, **kw))
+    report = run_fuzz(count=50, seed=5, check_traces=True)
+    assert report.ok and len(calls) == 50 * len(ALL_MODES)
+    assert all(kw.get("trace") for kw in calls)
 
 
 def test_run_fuzz_small():

@@ -27,6 +27,7 @@ from lh.syntax import (
     Mode,
     Op,
     Var,
+    _planned,
     alpha_eq,
     subst,
     subterms,
@@ -236,10 +237,13 @@ def test_subst_of_a_constant_measures_like_a_fresh_term():
 
 
 def test_subst_carries_no_measures_past_a_type_with_the_variable_free():
-    # types in programs are closed; this one is built directly around a free x
+    # types in programs are closed; this one is built directly around a free
+    # x, so no plan may copy its measures: _planned declines it, and subst,
+    # which copies none, gives what a fresh term measures
     raw = parse_type("{x:Int|true}")
     open_ref = parse_type("{y:Int|y < x}")
     e = Op("+", (Cast(open_ref, EMPTY_ANN, raw, "l", Var("x")), Var("x")))
+    assert _planned(e, "x") is None
     before = measures(e)
     out = subst(e, "x", Const(1))
     assert measures(out).tkeys != before.tkeys

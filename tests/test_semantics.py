@@ -12,6 +12,7 @@ from lh.semantics import (
     OutcomeKind,
     OverflowFault,
     Stepped,
+    Stuck,
     apply_op,
     axiom_oracle,
     choose,
@@ -37,6 +38,7 @@ from lh.syntax import (
     Fun,
     FunC,
     Mode,
+    Op,
     RefEntry,
     Refs,
     Status,
@@ -47,6 +49,7 @@ from lh.syntax import (
     free_vars,
     subst,
     subterms,
+    unroll,
 )
 
 ANY = parse_type("{x:Int|true}")
@@ -81,6 +84,16 @@ def test_apply_op_partiality():
 def test_division_by_zero_is_stuck():
     out = eval_term(Mode.CLASSIC, parse("1 div 0"), 100)
     assert out.kind is OutcomeKind.STUCK
+
+
+@pytest.mark.parametrize("e", [Op("+", (Const(1),)), Op("not", (Const(True), Const(False)))])
+def test_an_operation_with_the_wrong_number_of_arguments_is_stuck(e):
+    # the arity is the length of the operator's domain tuple, as the typechecker reads it
+    want = f"operation {e.name!r} undefined: {e.name!r} expects {len(semantics.OPS[e.name][0])} arguments"
+    for mode in ALL_MODES:
+        out = eval_term(mode, e, 100)
+        assert out.kind is OutcomeKind.STUCK and out.stuck_reason == want
+        assert machine(mode).step(e) == Stuck(want)
 
 
 # -- annotation algebra
@@ -350,6 +363,28 @@ def test_a_tail_loop_puts_its_constants_in_by_plan(monkeypatch):
         assert out.kind is OutcomeKind.VALUE and out.term.value == 17 + 50 * 51 // 2
     assert calls.count("x") >= 50  # the patch sees the machine's calls
     assert calls.count("n") + calls.count("acc") <= 2 * len(ALL_MODES)
+
+
+NESTED_LOOP = r"""
+let rec loop : {x:Int|true} -> {x:Int|true} -> {x:Int|true} =
+  \n:{x:Int|true}. \acc:{x:Int|true}.
+    if n = 0 then acc
+    else (let rec add : {x:Int|true} -> {x:Int|true} = \k:{x:Int|true}. k + n; loop (n - 1) (add acc));
+loop 20 0
+"""
+
+
+def test_a_loop_whose_body_opens_a_fix_over_its_binder_runs_without_a_plan_there():
+    # n is free in the inner fix, which no plan rebuilds: n's lambda gets none
+    # and falls back to subst, while acc's lambda, whose fix holds no acc, gets one
+    e = parse(NESTED_LOOP)
+    lam_n = unroll(next(n for n in subterms(e) if isinstance(n, Fix)))
+    lam_acc = lam_n.body
+    assert (lam_n.binder, lam_acc.binder) == ("n", "acc")
+    assert lam_n._plan is None and lam_acc._plan is not None
+    for mode in ALL_MODES:
+        out = _assert_agrees_with_reference(mode, e)
+        assert out.kind is OutcomeKind.VALUE and out.term.value == 210
 
 
 def test_e_fix_unrolls_a_closed_fix_once():
