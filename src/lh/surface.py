@@ -22,17 +22,16 @@ comparison takes at most one operator (`1 < 2 < 3` is an error).
 
 `let` is elaborated by substitution, `let rec` (annotation required) by Fix.
 The declarations a program opens with are one chain whose names must differ;
-a chain inside an expression may shadow a name.  Shadowed binders are
-renamed apart while parsing.  Runtime-only forms print with sigils
+a chain inside an expression may shadow a name.  Binders keep their written
+names, shadowed or not: only `subst` renames a binder, when it would capture a
+free variable of the term put in.  Runtime-only forms print with sigils
 (`blame l`, `check<...>`, `stack<...>`) that parse rejects.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (
     Abs,
@@ -54,8 +53,6 @@ from .syntax import (
     Type,
     Types,
     Var,
-    fresh_name,
-    map_parts,
     subst,
 )
 
@@ -76,13 +73,13 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z][A-Za-z0-9_']*)
   | (?P<punct>->|=>|<=|>=|<>|&&|\|\||[{}()<>|:.\\;@=+\-*])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "ident" | "punct" | "kw" | "eof"
     text: str
     line: int
@@ -90,26 +87,25 @@ class Token:
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of text, line by line, then two `eof` tokens: the parser
+    looks at most one token ahead, and consumes at most one `eof` (as a
+    refinement's base type) before it raises, so it never reads past them."""
+
     tokens: list[Token] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        column = pos - line_start + 1
-        if m.lastgroup == "ws":
-            chunk = m.group()
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + chunk.rindex("\n") + 1
-        elif m.lastgroup == "ident":
+    lines = text.split("\n")
+    for line, chars in enumerate(lines, 1):
+        for m in _TOKEN_RE.finditer(chars):
+            kind = m.lastgroup
+            if kind == "ws":
+                continue
             word = m.group()
-            tokens.append(Token("kw" if word in KEYWORDS else "ident", word, line, column))
-        else:
-            tokens.append(Token(m.lastgroup, m.group(), line, column))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+            if kind == "bad":
+                raise ParseError(f"unexpected character {word!r}", line, m.start() + 1)
+            if kind == "ident" and word in KEYWORDS:
+                kind = "kw"
+            tokens.append(Token(kind, word, line, m.start() + 1))
+    eof = Token("eof", "", len(lines), len(lines[-1]) + 1)
+    tokens += (eof, eof)
     return tokens
 
 
@@ -144,26 +140,24 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return ParseError(message + (f" (found {tok.text!r})" if tok.text else " (at end of input)"), tok.line, tok.column)
 
     def eat(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind or (text is not None and tok.text != text):
             raise self.error(f"expected {text or kind}")
-        return self.next()
+        self.pos += 1
+        return tok
 
     def at(self, kind: str, text: Optional[str] = None, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
+        tok = self.tokens[self.pos + ahead]
         return tok.kind == kind and (text is None or tok.text == text)
 
     # -- expressions
@@ -215,7 +209,7 @@ class _Parser:
 
         e = self.parse_unary()
         ceiling = _LEVEL_MUL
-        while level <= _BINOP_LEVEL.get(self.peek().text, _LEVEL_LOW) <= ceiling:
+        while level <= _BINOP_LEVEL.get(self.tokens[self.pos].text, _LEVEL_LOW) <= ceiling:
             op = self.next().text
             op_level = _BINOP_LEVEL[op]
             e = Op(op, (e, self.parse_binary(op_level + 1)))
@@ -312,7 +306,7 @@ def parse(text: str) -> Term:
     dup = next((n for n in names if names.count(n) > 1), None)
     if dup is not None:
         raise ParseError(f"duplicate declaration {dup!r}", 1, 1)
-    return _unshadow(term, {}, set(), itertools.count(1))
+    return term
 
 
 def parse_type(text: str) -> Type:
@@ -322,27 +316,6 @@ def parse_type(text: str) -> Type:
     t = parser.parse_type()
     parser.eat("eof")
     return t
-
-
-def _unshadow(node, env: dict[str, str], used: set[str], counter):
-    """Rename binders apart so no variable shadows another.  Fresh names are
-    numbered from counter, one per `parse` call, not per process."""
-
-    if isinstance(node, Var):
-        return Var(env.get(node.name, node.name))
-
-    def scope(binder: str, part):
-        renamed = binder
-        if binder in used:
-            renamed = fresh_name(binder, frozenset(used) | frozenset(env.values()), counter)
-        inner = {**env, binder: renamed}
-        if isinstance(node, Refinement):
-            # a refinement's binder is recorded as used for its own predicate only
-            return renamed, _unshadow(part, inner, used | {renamed}, counter)
-        used.add(renamed)
-        return renamed, _unshadow(part, inner, used, counter)
-
-    return map_parts(node, lambda part: _unshadow(part, env, used, counter), scope)
 
 
 # ---------------------------------------------------------------------------

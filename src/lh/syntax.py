@@ -18,11 +18,11 @@ type node with f applied to every term and type directly inside it,
 annotation types, heedful type-set members, eidetic coercion refinements and
 a coercion stack's pending refinements included.  `Abs`, `Fix` and
 `Refinement` bind their binder in their last part only, which `last` maps.
-`subst` and `surface._unshadow` are built on the part map, and `free_vars` is
-a fold over `children` and `held_types`.  `children` and `with_child` stay,
-as the indexed, term-only view that the machine, the meter and the trace
-checker walk on every step; the part map rebuilds whole nodes.  `canon` keeps
-its own walk, since its strings fix the printed order of heedful type sets.
+`subst` is built on the part map, and `free_vars` is a fold over `children`
+and `held_types`.  `children` and `with_child` stay, as the indexed,
+term-only view that the machine, the meter and the trace checker walk on
+every step; the part map rebuilds whole nodes.  `canon` keeps its own walk,
+since its strings fix the printed order of heedful type sets.
 
 `free_vars` and `canon` cache their result on every node they visit;
 `type_keys` only on the node it is asked about, that is on shared type nodes

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lh.harness import gen_source
-from lh.semantics import OPS
-from lh.surface import _BINOP_LEVEL, ParseError, parse, parse_type, print_term, print_type
-from lh.syntax import Abs, App, Cond, Const, Fix, Op, Var, alpha_eq
+from lh.semantics import OPS, IsValue, Machine, OutcomeKind, Stepped
+from lh.surface import _BINOP_LEVEL, ParseError, _tokenize, parse, parse_type, print_term, print_type
+from lh.syntax import ALL_MODES, Abs, App, Cond, Const, Fix, Op, Var, alpha_eq, map_parts
 
 
 def test_precedence():
@@ -98,11 +98,18 @@ def test_parse_type_roundtrip():
         assert alpha_eq(parse_type(print_type(t)), t)
 
 
-def test_shadowing_is_renamed_apart():
+def test_a_shadowed_binder_is_the_inner_one_in_every_mode():
+    # binders keep their written names: substituting 1 for the outer x stops
+    # at the inner \x, so the program gives its second argument
     e = parse("(\\x:{x:Int|true}. \\x:{x:Int|true}. x) 1 2")
-    assert isinstance(e.fn.fn, Abs)
-    inner = e.fn.fn
-    assert inner.binder != inner.body.binder
+    assert e.fn.fn.binder == e.fn.fn.body.binder == "x"
+    for mode in ALL_MODES:
+        out = Machine(mode).eval(e, 100)
+        assert out.kind is OutcomeKind.VALUE and alpha_eq(out.term, Const(2)), mode
+        term, stepper = e, Machine(mode)
+        while isinstance(step := stepper.step(term), Stepped):
+            term = step.term
+        assert isinstance(step, IsValue) and alpha_eq(term, Const(2)), mode
 
 
 def test_runtime_sigils_do_not_reparse():
@@ -132,14 +139,32 @@ def test_roundtrip_examples(examples_dir):
         assert alpha_eq(parse(print_term(e)), e)
 
 
+def _shadows(node, bound=frozenset()) -> bool:
+    """Whether a binder in node has the name of a binder whose scope it is in."""
+
+    found = []
+
+    def part(p):
+        found.append(_shadows(p, bound))
+        return p
+
+    def scope(binder, p):
+        found.append(binder in bound or _shadows(p, bound | {binder}))
+        return binder, p
+
+    map_parts(node, part, scope)
+    return any(found)
+
+
 def test_printed_names_do_not_depend_on_earlier_parses():
-    # fresh names are numbered per parse, not by a counter the process shares
-    text = print_term(gen_source(5, 30))
-    first = print_term(parse(text))
-    assert "_1" in first  # the program renames a binder
+    # a shadowed binder keeps its name, whatever was parsed before; the
+    # generated program binds x1 again under the outer \x1
+    text = print_term(App(Abs("x1", parse_type("{x:Int | true}"), gen_source(5, 30)), Const(0)))
+    assert _shadows(parse(text))
+    assert print_term(parse(text)) == text
     for seed in range(20):
         parse(print_term(gen_source(seed, 30)))
-    assert print_term(parse(text)) == first
+    assert print_term(parse(text)) == text
 
 
 def test_names_renamed_by_a_let_do_not_depend_on_earlier_parses():
@@ -150,3 +175,41 @@ def test_names_renamed_by_a_let_do_not_depend_on_earlier_parses():
     for i in range(20):
         parse(text.replace("k", f"k{i}"))  # each renames a k{i} to a k_<n>
     assert print_term(parse(text)) == first
+
+
+def test_every_token_is_where_its_position_says(examples_dir):
+    texts = [p.read_text() for p in sorted(examples_dir.glob("*.lh"))]
+    texts += [print_term(gen_source(seed, 5 + seed % 26)) for seed in range(200)]
+    for text in texts:
+        lines = text.split("\n")
+        tokens = _tokenize(text)
+        assert tokens[-2:] == [tokens[-1]] * 2 and tokens[-1].kind == "eof"
+        for tok in tokens:
+            assert lines[tok.line - 1][tok.column - 1 :].startswith(tok.text), tok
+
+
+@pytest.mark.parametrize(
+    "parser, text, message",
+    [
+        (parse, "-- first line\n1 + $", "2:5: unexpected character '$'"),
+        (parse, "let a = 1;", "1:11: expected an expression (at end of input)"),
+        (parse, "1 + 2 )", "1:7: expected eof (found ')')"),
+        # the base type is consumed before it is judged, here the eof itself
+        (parse_type, "{x:", "1:4: expected Int or Bool (at end of input)"),
+    ],
+)
+def test_parse_error_texts(parser, text, message):
+    with pytest.raises(ParseError) as err:
+        parser(text)
+    assert str(err.value) == message
+
+
+def test_every_token_prefix_of_an_example_parses_or_raises_parse_error(examples_dir):
+    # the parser reads the token list by index: no prefix may run it off the end
+    for path in sorted(examples_dir.glob("*.lh")):
+        tokens = _tokenize(path.read_text())[:-2]
+        for end in range(len(tokens)):
+            try:
+                parse(" ".join(t.text for t in tokens[:end]))
+            except ParseError:
+                pass
