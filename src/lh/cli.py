@@ -217,7 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--space", action="store_true")
-    p.add_argument("--choose", default="lex-min", choices=sorted(CHOOSE_POLICIES))
+    p.add_argument(
+        "--choose",
+        default="lex-min",
+        choices=sorted(CHOOSE_POLICIES),
+        help="the order in which heedful checks a type set: first to last (lex-min) or last to first (lex-max) "
+        "in canonical alpha-normal order",
+    )
     p.add_argument("--axioms", help="JSON file of [source-type, implied-type] pairs (default oracle: alpha-equality)")
     p.set_defaults(fn=cmd_run)
 

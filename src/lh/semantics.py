@@ -18,6 +18,11 @@ proxy judgment (`_PROXIES`) are picked when the `Machine` is made, so no rule
 tests the mode again.  Classes are compared with `is`, since no term, type,
 annotation or coercion class has a subclass.
 
+Heedful's E-CheckSet checks a type set one member at a time, in the order
+`choose` takes them: first to last (`lex-min`) or last to first (`lex-max`)
+in the `canon` order that `syntax.Types` keeps.  So a heedful run, like every
+other, depends on the term only up to alpha-equivalence.
+
 `E-Fix` unrolls a `Fix` once (`syntax.unroll`): the body is cached on the
 node, and each iteration of a loop steps to the same body.  Substitution is a
 function of its arguments, so the body depends on the node alone, not on the
@@ -50,7 +55,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .surface import print_type
 from .syntax import (
     Abs,
     ActiveCheck,
@@ -65,7 +69,7 @@ from .syntax import (
     Const,
     EmptyAnn,
     EMPTY_ANN,
-    EMPTY_SET,
+    EMPTY_TYPES,
     Fix,
     Fun,
     FunC,
@@ -78,7 +82,6 @@ from .syntax import (
     Status,
     Term,
     Type,
-    TypeSet,
     Types,
     Var,
     alpha_eq,
@@ -141,15 +144,22 @@ def implies(oracle: ImplicationOracle, t1: Refinement, t2: Refinement) -> bool:
 # choose
 
 
-CHOOSE_POLICIES: dict[str, Callable] = {"lex-min": min, "lex-max": max}
+# a policy splits a type set's members, in `canon` order, into the one chosen
+# and the rest; under lex-max the rest is every member but the last
+CHOOSE_POLICIES: dict[str, Callable] = {
+    "lex-min": lambda m: (m[0], m[1:]),
+    "lex-max": lambda m: (m[-1], m[:-1]),
+}
 
 
-def choose(s: TypeSet, policy: str = "lex-min") -> Type:
-    """The member of s first or last by printed form, as policy says."""
+def choose(s: Types, policy: str = "lex-min") -> tuple[Type, Types]:
+    """The member of s first (lex-min) or last (lex-max) in `canon` order, as
+    policy says, and the other members."""
 
-    if not len(s):
+    if not s.members:
         raise ValueError("choose: empty type set")
-    return CHOOSE_POLICIES[policy](s.members, key=print_type)
+    chosen, rest = CHOOSE_POLICIES[policy](s.members)
+    return chosen, Types(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +173,11 @@ def split_annotation(ann) -> tuple:
         return EMPTY_ANN, EMPTY_ANN
     if isinstance(ann, Types):
         doms, cods = [], []
-        for t in ann.types:
+        for t in ann.members:
             assert isinstance(t, Fun), "split_annotation: type-set member is not a function type"
             doms.append(t.dom)
             cods.append(t.cod)
-        return Types(TypeSet.of(doms)), Types(TypeSet.of(cods))
+        return Types.of(doms), Types.of(cods)
     assert isinstance(ann.coercion, FunC), "split_annotation: coercion is not a function coercion"
     return Coerce(ann.coercion.dom), Coerce(ann.coercion.cod)
 
@@ -214,7 +224,7 @@ def merge(mode: Mode, a1, t2: Type, a2, oracle: ImplicationOracle = DEFAULT_ORAC
     if mode is Mode.FORGETFUL and isinstance(a1, EmptyAnn) and isinstance(a2, EmptyAnn):
         return EMPTY_ANN
     if mode is Mode.HEEDFUL and isinstance(a1, Types) and isinstance(a2, Types):
-        return Types(a1.types.union(a2.types).add(t2))
+        return Types.of(a1.members + a2.members + (t2,))
     if mode is Mode.EIDETIC and isinstance(a1, Coerce) and isinstance(a2, Coerce):
         return Coerce(coercion_merge(a1.coercion, a2.coercion, oracle))
     return None
@@ -548,7 +558,7 @@ class Machine:
 
     def _cast_heedful(self, e: Cast):
         if type(e.ann) is EmptyAnn:  # annotate source casts first
-            return (_STEP, Cast(e.src, Types(EMPTY_SET), e.tgt, e.label, e.subject), "E-TypeSet")
+            return (_STEP, Cast(e.src, EMPTY_TYPES, e.tgt, e.label, e.subject), "E-TypeSet")
         return self._cast(e)
 
     def _cast_eidetic(self, e: Cast):
@@ -586,12 +596,10 @@ class Machine:
             if ann is EmptyAnn:
                 return (_STEP, self._start_check(tgt, k, e.label), "E-CheckNoneC")
             if ann is Types:
-                types = e.ann.types
-                if not len(types):
+                if not e.ann.members:
                     return (_STEP, self._start_check(tgt, k, e.label), "E-CheckEmpty")
-                chosen = choose(types, self.choose_policy)
+                chosen, rest = choose(e.ann, self.choose_policy)
                 assert isinstance(chosen, Refinement)
-                rest = Types(types.remove(chosen))
                 return (_STEP, Cast(chosen, rest, tgt, e.label, self._start_check(chosen, k, e.label)), "E-CheckSet")
             if type(e.ann.coercion) is not Refs:
                 return (_STUCK, "function coercion on a refinement cast")

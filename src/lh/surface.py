@@ -87,9 +87,9 @@ class Token(NamedTuple):
 
 
 def _tokenize(text: str) -> list[Token]:
-    """The tokens of text, line by line, then two `eof` tokens: the parser
-    looks at most one token ahead, and consumes at most one `eof` (as a
-    refinement's base type) before it raises, so it never reads past them."""
+    """The tokens of text, line by line, then one `eof` token: the parser
+    judges a token before it consumes it and looks at most one token past the
+    current one, which is then not `eof`, so it never reads past the end."""
 
     tokens: list[Token] = []
     lines = text.split("\n")
@@ -105,7 +105,7 @@ def _tokenize(text: str) -> list[Token]:
                 kind = "kw"
             tokens.append(Token(kind, word, line, m.start() + 1))
     eof = Token("eof", "", len(lines), len(lines[-1]) + 1)
-    tokens += (eof, eof)
+    tokens.append(eof)
     return tokens
 
 
@@ -282,13 +282,9 @@ class _Parser:
         self.eat("punct", "{")
         binder = self.eat("ident").text
         self.eat("punct", ":")
-        base_tok = self.next()
-        if base_tok.text == "Int":
-            base = BaseType.INT
-        elif base_tok.text == "Bool":
-            base = BaseType.BOOL
-        else:
+        if not (self.at("kw", "Int") or self.at("kw", "Bool")):
             raise self.error("expected Int or Bool")
+        base = BaseType(self.next().text)
         self.eat("punct", "|")
         predicate = self.parse_expr()
         self.eat("punct", "}")
@@ -347,7 +343,7 @@ def _show_ann(ann) -> str:
     if isinstance(ann, EmptyAnn):
         return ""
     if isinstance(ann, Types):
-        return " ! {" + ", ".join(print_type(t) for t in ann.types) + "}"
+        return " ! {" + ", ".join(print_type(t) for t in ann.members) + "}"
     return " ! " + _show_coercion(ann.coercion)
 
 

@@ -22,7 +22,8 @@ a coercion stack's pending refinements included.  `Abs`, `Fix` and
 and `held_types`.  `children` and `with_child` stay, as the indexed,
 term-only view that the machine, the meter and the trace checker walk on
 every step; the part map rebuilds whole nodes.  `canon` keeps its own walk,
-since its strings fix the printed order of heedful type sets.
+since its strings fix the order of a heedful type set (`Types`), the order
+`semantics.choose` reads: alpha-equivalent programs check their sets alike.
 
 `free_vars` and `canon` cache their result on every node they visit;
 `type_keys` only on the node it is asked about, that is on shared type nodes
@@ -170,44 +171,21 @@ Coercion = Union[Refs, FunC]
 
 
 @dataclass(frozen=True, eq=False)
-class TypeSet:
-    """Duplicate-free set of types, canonically ordered by printed alpha-normal form."""
+class Types:
+    """Heedful annotation: the set of intermediate types a cast remembers,
+    one member per alpha-equivalence class, in `canon` order."""
 
     members: tuple[Type, ...]
 
     @staticmethod
-    def of(types: Iterable[Type]) -> "TypeSet":
+    def of(types: Iterable[Type]) -> "Types":
         seen: dict[str, Type] = {}
         for t in types:
             seen.setdefault(canon(t), t)
-        ordered = tuple(seen[k] for k in sorted(seen))
-        return TypeSet(ordered)
-
-    def __iter__(self) -> Iterator[Type]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def union(self, other: "TypeSet") -> "TypeSet":
-        return TypeSet.of(self.members + other.members)
-
-    def add(self, t: Type) -> "TypeSet":
-        return TypeSet.of(self.members + (t,))
-
-    def remove(self, t: Type) -> "TypeSet":
-        key = canon(t)
-        return TypeSet(tuple(m for m in self.members if canon(m) != key))
+        return Types(tuple([seen[k] for k in sorted(seen)]))
 
 
-EMPTY_SET = TypeSet(())
-
-
-@dataclass(frozen=True, eq=False)
-class Types:
-    """Heedful annotation: the set of intermediate types a cast remembers."""
-
-    types: TypeSet
+EMPTY_TYPES = Types(())
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,7 +402,7 @@ def held_types(e: Term) -> tuple[tuple[Type, ...], tuple[Refinement, ...]]:
     if isinstance(e, Cast):
         ann = e.ann
         if isinstance(ann, Types):
-            return (e.src, e.tgt, *ann.types.members), ()
+            return (e.src, e.tgt, *ann.members), ()
         if isinstance(ann, Coerce):
             return (e.src, e.tgt), _coercion_refs(ann.coercion)
         return (e.src, e.tgt), ()
@@ -459,7 +437,7 @@ def _map_coercion(c: Coercion, f) -> Coercion:
 
 def _map_ann(ann: Annotation, f) -> Annotation:
     if isinstance(ann, Types):
-        return Types(TypeSet.of(map(f, ann.types.members)))
+        return Types.of(map(f, ann.members))
     if isinstance(ann, Coerce):
         return Coerce(_map_coercion(ann.coercion, f))
     return ann
@@ -746,7 +724,7 @@ def _canon_ann(ann: Annotation, env: dict[str, int], depth: int, out: list[str])
         out.append("*")
     elif isinstance(ann, Types):
         out.append("{")
-        for t in ann.types:
+        for t in ann.members:
             _canon_into(t, env, depth, out)
             out.append(",")
         out.append("}")

@@ -243,7 +243,7 @@ class Checker:
         if kind is not ANNOTATIONS[self.mode]:
             raise TypeCheckError(ILL_FORMED_ANNOTATION, path, FOREIGN_ANNOTATION[kind])
         if kind is Types:
-            for t in ann.types:
+            for t in ann.members:
                 self.wf_type(t, path + "/set")
                 if not similar(t, t1):
                     raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "type-set member dissimilar to the cast")

@@ -33,7 +33,7 @@ from lh.syntax import (
     Coerce,
     Const,
     EMPTY_ANN,
-    EMPTY_SET,
+    EMPTY_TYPES,
     Fix,
     Fun,
     FunC,
@@ -42,10 +42,10 @@ from lh.syntax import (
     RefEntry,
     Refs,
     Status,
-    TypeSet,
     Types,
     Var,
     alpha_eq,
+    canon,
     free_vars,
     subst,
     subterms,
@@ -131,19 +131,29 @@ def test_ref_drop_is_a_subsequence():
 def test_merge_modes():
     assert merge(Mode.CLASSIC, EMPTY_ANN, NAT, EMPTY_ANN) is None
     assert isinstance(merge(Mode.FORGETFUL, EMPTY_ANN, NAT, EMPTY_ANN), type(EMPTY_ANN))
-    h = merge(Mode.HEEDFUL, Types(EMPTY_SET), NAT, Types(EMPTY_SET))
-    assert isinstance(h, Types) and len(h.types) == 1 and alpha_eq(h.types.members[0], NAT)
+    h = merge(Mode.HEEDFUL, EMPTY_TYPES, NAT, EMPTY_TYPES)
+    assert isinstance(h, Types) and len(h.members) == 1 and alpha_eq(h.members[0], NAT)
     e = merge(Mode.EIDETIC, Coerce(coerce(ANY, NAT, "l1")), NAT, Coerce(coerce(NAT, NZ, "l2")))
     assert isinstance(e, Coerce) and len(e.coercion.entries) == 2
-    assert merge(Mode.FORGETFUL, Types(EMPTY_SET), NAT, EMPTY_ANN) is None
+    assert merge(Mode.FORGETFUL, EMPTY_TYPES, NAT, EMPTY_ANN) is None
 
 
 def test_choose_policies():
-    s = TypeSet.of([EVEN, NAT])
-    assert alpha_eq(choose(s, "lex-min"), NAT)  # "{x:Int | x >=..." sorts before "{x:Int | x mod..."
-    assert alpha_eq(choose(s, "lex-max"), EVEN)
+    # canon order: NZ's "(op <> ..." sorts before EVEN's "(op = ..." and NAT's "(op >= ..."
+    s = Types.of([NAT, EVEN, NZ])
+    cast = parse("<{x:Int|true} => {x:Int|x > 0} @ l> 4")
+    cast = Cast(cast.src, s, cast.tgt, cast.label, cast.subject)
+    for policy, order in (("lex-min", [NZ, EVEN, NAT]), ("lex-max", [NAT, EVEN, NZ])):
+        chosen, rest = choose(s, policy)
+        assert alpha_eq(chosen, order[0])
+        assert [canon(t) for t in rest.members] == sorted(canon(t) for t in order[1:])
+        # the machine checks the members in that order, the chosen one as the new source
+        out = Machine(Mode.HEEDFUL, choose_policy=policy).eval(cast, 100, trace=True)
+        checked = [step.term.src for step in out.trace if step.rule == "E-CheckSet"]
+        assert [canon(t) for t in checked] == [canon(t) for t in order]
+        assert out.kind is OutcomeKind.VALUE and out.term.value == 4
     with pytest.raises(ValueError):
-        choose(EMPTY_SET)
+        choose(EMPTY_TYPES)
 
 
 def test_status_join():

@@ -183,7 +183,7 @@ def test_every_token_is_where_its_position_says(examples_dir):
     for text in texts:
         lines = text.split("\n")
         tokens = _tokenize(text)
-        assert tokens[-2:] == [tokens[-1]] * 2 and tokens[-1].kind == "eof"
+        assert [tok.kind for tok in tokens].count("eof") == 1 and tokens[-1].kind == "eof"
         for tok in tokens:
             assert lines[tok.line - 1][tok.column - 1 :].startswith(tok.text), tok
 
@@ -194,8 +194,9 @@ def test_every_token_is_where_its_position_says(examples_dir):
         (parse, "-- first line\n1 + $", "2:5: unexpected character '$'"),
         (parse, "let a = 1;", "1:11: expected an expression (at end of input)"),
         (parse, "1 + 2 )", "1:7: expected eof (found ')')"),
-        # the base type is consumed before it is judged, here the eof itself
+        # the base type is judged where it stands, here the eof itself
         (parse_type, "{x:", "1:4: expected Int or Bool (at end of input)"),
+        (parse, "<{x:Int|true} => {x:Foo|true} @ l> 1", "1:21: expected Int or Bool (found 'Foo')"),
     ],
 )
 def test_parse_error_texts(parser, text, message):
@@ -207,7 +208,7 @@ def test_parse_error_texts(parser, text, message):
 def test_every_token_prefix_of_an_example_parses_or_raises_parse_error(examples_dir):
     # the parser reads the token list by index: no prefix may run it off the end
     for path in sorted(examples_dir.glob("*.lh")):
-        tokens = _tokenize(path.read_text())[:-2]
+        tokens = _tokenize(path.read_text())[:-1]
         for end in range(len(tokens)):
             try:
                 parse(" ".join(t.text for t in tokens[:end]))

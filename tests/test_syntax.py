@@ -18,7 +18,7 @@ from lh.syntax import (
     Fix,
     Op,
     Refinement,
-    TypeSet,
+    Types,
     Var,
     alpha_eq,
     canon,
@@ -81,11 +81,10 @@ def test_raw_types():
 def test_typeset_dedups_modulo_alpha():
     t1 = parse("<{x:Int|x > 0} => {x:Int|true} @ l> 0").src
     t2 = parse("<{y:Int|y > 0} => {y:Int|true} @ l> 0").src
-    s = TypeSet.of([t1, t2, RAW_INT])
-    assert len(s) == 2
-    assert [canon(t) for t in s] == sorted({canon(t1), canon(RAW_INT)})
-    assert len(s.remove(t2)) == 1
-    assert len(s.add(t1)) == 2
+    s = Types.of([t1, t2, RAW_INT])
+    assert len(s.members) == 2
+    assert [canon(t) for t in s.members] == sorted({canon(t1), canon(RAW_INT)})
+    assert [canon(t) for t in Types.of([RAW_INT, t2, t1]).members] == [canon(t) for t in s.members]
 
 
 def test_types_of_e3(e3):

@@ -59,10 +59,10 @@ def test_wf_type():
 
 def test_wf_annotation_mode_discipline():
     from lh.semantics import coerce
-    from lh.syntax import Coerce, EMPTY_ANN, TypeSet, Types
+    from lh.syntax import Coerce, EMPTY_ANN, Types
 
     Checker(Mode.CLASSIC).wf_annotation(EMPTY_ANN, ANY, NAT)
-    ts = Types(TypeSet.of([EVEN]))
+    ts = Types.of([EVEN])
     Checker(Mode.HEEDFUL).wf_annotation(ts, ANY, NAT)
     with pytest.raises(TypeCheckError):
         Checker(Mode.CLASSIC).wf_annotation(ts, ANY, NAT)
