@@ -141,15 +141,15 @@ def cmd_run(args) -> int:
             }
             if args.trace:
                 payload["trace"] = [
-                    {"step": s.index, "rule": s.rule, "term": print_term(s.term)} for s in out.trace
+                    {"step": i, "rule": s.rule, "term": print_term(s.term)} for i, s in enumerate(out.trace, 1)
                 ]
             if meter is not None:
                 payload["space"] = {"max": meter.max.as_dict(), "series": series_json(meter.series)}
             print(json.dumps(payload, indent=2))
         else:
             if args.trace:
-                for s in out.trace:
-                    print(f"{s.index:6d} {s.rule}")
+                for i, s in enumerate(out.trace, 1):
+                    print(f"{i:6d} {s.rule}")
             if meter is not None:
                 print("max " + " ".join(f"{k}={v}" for k, v in meter.max.as_dict().items()))
             print(_OUTCOMES[out.kind][1](out))

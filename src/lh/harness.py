@@ -90,10 +90,6 @@ class _Gen:
         candidates = [(n, t) for n, t in env if alpha_eq(t, ty)]
         if candidates and rng.random() < 0.3:
             return Var(rng.choice(candidates)[0])
-        if isinstance(ty, Fun):
-            x = f"x{len(env)}"
-            body = self.term(ty.cod, max(fuel - 1, 1), env + [(x, ty.dom)])
-            return Abs(x, ty.dom, body)
         assert isinstance(ty, Refinement)
         if fuel <= 1:
             return self.leaf(ty, env)
@@ -368,10 +364,10 @@ class _LiveNodes:
 
         levels, at, table = self.levels, self.at, self.table
         frames = []
-        while ctx is not None and ctx[0] not in at:
-            frames.append(ctx[0])
-            ctx = ctx[1]
-        keep = 0 if ctx is None else at[ctx[0]] + 1
+        while ctx is not None and ctx not in at:
+            frames.append(ctx)
+            ctx = ctx.rest
+        keep = 0 if ctx is None else at[ctx] + 1
         popped, prev = levels[keep:], self.focus
         del levels[keep:]
         old, sources = prev, {}

@@ -7,10 +7,10 @@ eidetic compiles casts to coercions and drains them on a stack.
 `Machine.step` is the reference stepper: it finds the unique redex by recursion
 from the root and reports the rule that fired.  `Machine.eval` runs the same
 rules over an explicit evaluation context, so a step costs work proportional to
-the local change instead of a root-to-redex walk.  The context is a persistent
-stack of frames, `(innermost frame, rest)` pairs ending in None.  A `Frame` is
-a node with a hole at one child; it reads and rebuilds the node through the
-shape table of `syntax` (`children`, `with_child`).
+the local change instead of a root-to-redex walk.  A context is its innermost
+`Frame`, or None when empty: a frame is a node with a hole at one child and
+the frames around it (`rest`), and it rebuilds the node through the shape
+table of `syntax` (`with_child`).
 
 Both find a node's local rule in one table per mode, keyed by the node's
 class (`_RULES`).  Only the cast rule differs between modes; it and the
@@ -30,11 +30,12 @@ mode, and what the meter and the trace checker cache on its nodes depends on
 those nodes alone.  `E-Beta` of a constant runs the lambda's plan from that
 body (`syntax.unroll`), if any.
 
-A traced run records one `TraceStep` per step, holding the step index, the
-rule, and the context and focus just after the step: O(1) work and memory per
-step, as contexts share their tails.  `TraceStep.term` plugs the focus back
-into the context when it is read, in O(depth), and gives the same term, with
-the same shared nodes, as rebuilding it at the step would.
+A traced run records one `TraceStep` per step, holding the rule, and the
+context and focus just after the step: O(1) work and memory per step, as
+contexts share their tails.  A step's number is its position in the trace.
+`TraceStep.term` plugs the focus back into the context when it is read, in
+O(depth), and gives the same term, with the same shared nodes, as rebuilding
+it at the step would.
 `Outcome.trace_terms()` is a read-only sequence over those terms that builds
 one only when it is read; `harness.check_trace` reads its contexts and foci
 (`TraceTerms.contexts`) and builds none.
@@ -354,14 +355,13 @@ class OutcomeKind(enum.Enum):
 
 
 class TraceStep:
-    """One machine step: its 1-based index, the rule that fired, and the
-    context and focus just after it.  `term` plugs the focus back into the
-    context, so recording a step is O(1) and reading `term` is O(depth)."""
+    """One machine step: the rule that fired, and the context and focus just
+    after it.  `term` plugs the focus back into the context, so recording a
+    step is O(1) and reading `term` is O(depth)."""
 
-    __slots__ = ("index", "rule", "_ctx", "_focus")
+    __slots__ = ("rule", "_ctx", "_focus")
 
-    def __init__(self, index: int, rule: str, ctx: Context, focus: Term):
-        self.index = index
+    def __init__(self, rule: str, ctx: Context, focus: Term):
         self.rule = rule
         self._ctx = ctx
         self._focus = focus
@@ -370,12 +370,12 @@ class TraceStep:
     def term(self) -> Term:
         whole, ctx = self._focus, self._ctx
         while ctx is not None:
-            frame, ctx = ctx
-            whole = frame.rebuild(whole)
+            whole = ctx.rebuild(whole)
+            ctx = ctx.rest
         return whole
 
     def __repr__(self) -> str:
-        return f"TraceStep(index={self.index!r}, rule={self.rule!r}, term={self.term!r})"
+        return f"TraceStep(rule={self.rule!r}, term={self.term!r})"
 
 
 @dataclass(frozen=True)
@@ -422,27 +422,28 @@ class TraceTerms(Sequence):
 
 
 class Frame:
-    """A node with a hole at its `index`-th child (in `children` order), which
-    held `hole` when the machine descended into it."""
+    """A node with a hole at its `index`-th child (in `children` order),
+    inside the frames `rest`: a frame is the context it is innermost in."""
 
-    __slots__ = ("orig", "index", "hole")
+    __slots__ = ("orig", "index", "rest")
 
-    def __init__(self, orig: Term, index: int, hole: Term):
+    def __init__(self, orig: Term, index: int, rest: Context):
         self.orig = orig
         self.index = index
-        self.hole = hole
+        self.rest = rest
 
     def rebuild(self, child: Term) -> Term:
         return with_child(self.orig, self.index, child)
 
 
-# An evaluation context as a persistent stack: None is the empty context and
-# (frame, rest) has `frame` innermost.  Nothing is updated in place, so a
-# context recorded in a trace stays valid while the machine runs on.
-Context = Optional[tuple[Frame, "Context"]]
+# An evaluation context: None when empty, else its innermost frame.  Nothing
+# is updated in place, so a context recorded in a trace stays valid while the
+# machine runs on.
+Context = Optional[Frame]
 
 
-# Local decisions, shared by the reference stepper and the machine.
+# Local decisions, shared by the reference stepper and the machine.  A
+# descent is (_DESCEND, node, index, child): step the node's index-th child.
 
 _DESCEND = "descend"
 _STEP = "step"
@@ -497,11 +498,11 @@ class Machine:
         if type(fn) is Blame:
             return (_STEP, Blame(fn.label), "E-AppRaiseL")
         if not self.is_value(fn):
-            return (_DESCEND, Frame(e, 0, fn))
+            return (_DESCEND, e, 0, fn)
         if type(arg) is Blame:
             return (_STEP, Blame(arg.label), "E-AppRaiseR")
         if not self.is_value(arg):
-            return (_DESCEND, Frame(e, 1, arg))
+            return (_DESCEND, e, 1, arg)
         if type(fn) is Abs:
             plan = type(arg) is Const and getattr(fn, "_plan", None)
             return (_STEP, plan(fn.body, arg) if plan else subst(fn.body, fn.binder, arg), "E-Beta")
@@ -514,7 +515,7 @@ class Machine:
             if type(arg) is Blame:
                 return (_STEP, Blame(arg.label), "E-OpRaise")
             if not self.is_value(arg):
-                return (_DESCEND, Frame(e, i, arg))
+                return (_DESCEND, e, i, arg)
         if not all(type(a) is Const for a in e.args):
             return (_STUCK, f"operation {e.name!r} applied to a non-constant")
         try:
@@ -529,7 +530,7 @@ class Machine:
         if type(guard) is Blame:
             return (_STEP, Blame(guard.label), "E-IfRaise")
         if not self.is_value(guard):
-            return (_DESCEND, Frame(e, 0, guard))
+            return (_DESCEND, e, 0, guard)
         if type(guard) is Const and type(guard.value) is bool:
             return (_STEP, e.then, "E-IfTrue") if guard.value else (_STEP, e.orelse, "E-IfFalse")
         return (_STUCK, "conditional guard is not a boolean")
@@ -541,7 +542,7 @@ class Machine:
         if type(cur) is Blame:
             return (_STEP, Blame(cur.label), "E-CheckRaise")
         if not self.is_value(cur):
-            return (_DESCEND, Frame(e, 0, cur))
+            return (_DESCEND, e, 0, cur)
         return (_STUCK, "active check reduced to a non-boolean value")
 
     def _stack(self, e: CoercionStack):
@@ -553,7 +554,7 @@ class Machine:
                 return (_STEP, self._stack_pop(e), "E-StackPop")
             return (_STEP, cur, "E-StackDone")
         if not self.is_value(cur):
-            return (_DESCEND, Frame(e, 0, cur))
+            return (_DESCEND, e, 0, cur)
         return (_STUCK, "coercion stack reduced to a non-constant value")
 
     def _cast_heedful(self, e: Cast):
@@ -581,7 +582,7 @@ class Machine:
                 return (_STEP, Cast(subject.src, merged, e.tgt, e.label, subject.subject), "E-CastMergeE")
         # 3. otherwise step the subject
         if not self.is_value(subject):
-            return (_DESCEND, Frame(e, 0, subject))
+            return (_DESCEND, e, 0, subject)
         # 4. subject is a value: check, stack, or stand as a proxy
         return self._cast_on_value(e)
 
@@ -645,10 +646,10 @@ class Machine:
             return Stepped(act[1], act[2])
         # descend: step the child and plug the result back in.  The child is
         # never blame: each node raises blame out of a child itself.
-        frame = act[1]
-        inner = self.step(frame.hole)
+        _, node, i, child = act
+        inner = self.step(child)
         if isinstance(inner, Stepped):
-            return Stepped(frame.rebuild(inner.term), inner.rule)
+            return Stepped(with_child(node, i, inner.term), inner.rule)
         if isinstance(inner, Stuck):
             return inner
         raise AssertionError("descend target was a value or blame")
@@ -671,11 +672,10 @@ class Machine:
             act = rules.get(type(focus), unknown)(self, focus)  # as self._local(focus)
             tag = act[0]
             if tag == _DESCEND:
-                frame = act[1]
-                focus = frame.hole
-                ctx = (frame, ctx)
+                ctx = Frame(act[1], act[2], ctx)
+                focus = act[3]
                 if observer is not None:
-                    observer.push(frame, focus)
+                    observer.push(ctx, focus)
                 continue
             if tag == _STEP:
                 if steps >= budget:
@@ -686,13 +686,13 @@ class Machine:
                 focus = new
                 steps += 1
                 if recorded is not None:
-                    recorded.append(TraceStep(steps, rule, ctx, focus))
-                if ctx is None or type(ctx[0].orig) is not Cast:
+                    recorded.append(TraceStep(rule, ctx, focus))
+                if ctx is None or type(ctx.orig) is not Cast:
                     continue
                 # the parent cast may now be able to merge or raise: pop it
             elif tag == _STUCK or ctx is None:
                 break  # stuck, or a value or blame with no context left
-            frame, ctx = ctx  # pop: plug the focus back into its frame
+            frame, ctx = ctx, ctx.rest  # pop: plug the focus back into its frame
             rebuilt = frame.rebuild(focus)
             if observer is not None:
                 observer.pop(frame, focus, rebuilt)

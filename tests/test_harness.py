@@ -16,7 +16,7 @@ from lh.harness import (
     judge,
     run_fuzz,
 )
-from lh.semantics import Frame, Machine, Outcome, OutcomeKind, coercion_merge
+from lh.semantics import Frame, Machine, Outcome, OutcomeKind, TraceStep, TraceTerms, coercion_merge
 from lh.surface import parse, parse_type, print_term, print_type
 from lh.syntax import (
     ALL_MODES,
@@ -377,7 +377,7 @@ def test_check_trace_catches_a_machine_that_rebuilds_wrongly(monkeypatch):
     broken = []
 
     def rebuild_wrongly(frame, child):
-        if child is not frame.hole and isinstance(frame.orig, Cast) and not broken:
+        if child is not children(frame.orig)[frame.index] and isinstance(frame.orig, Cast) and not broken:
             broken.append(frame)
             child = Const(True)
         return rebuild(frame, child)
@@ -389,6 +389,22 @@ def test_check_trace_catches_a_machine_that_rebuilds_wrongly(monkeypatch):
     findings = check_trace(Mode.CLASSIC, out.trace_terms())
     assert any("preservation failure" in f for f in findings), findings
     assert findings == check_trace(Mode.CLASSIC, list(out.trace_terms()))
+
+
+def test_check_trace_checks_the_whole_term_below_frames_that_stay():
+    # step 7 of the classic loop at n = 5 is an E-Op at depth 3; with a
+    # boolean for its result no judgment carries up, so the frames path
+    # rebuilds the term through the levels above it and checks it whole
+    out = eval_term(Mode.CLASSIC, parse(_LOOP_SRC + "loop 5 0"), 10_000, trace=True)
+    trace = list(out.trace)
+    step = trace[6]
+    assert step.rule == "E-Op"
+    trace[6] = TraceStep(step.rule, step._ctx, Const(True))
+    terms = TraceTerms(out.initial, tuple(trace))
+    expected = ["step 7: preservation failure: NotSimilar at /subject/fn/arg: constant at the wrong base type"]
+    assert check_trace(Mode.CLASSIC, terms) == expected
+    assert check_trace(Mode.CLASSIC, list(terms)) == expected
+    assert _reference_check_trace(Mode.CLASSIC, terms) == expected
 
 
 def test_checker_memo_keeps_expected_types_apart():

@@ -76,9 +76,9 @@ def assert_meter_matches_trace(mode, e, budget):
     terms = traced.trace_terms()
     assert len(series) == len(terms) - 1
     acc = space_stats(terms[0])
-    for (rule, stats), term, step in zip(series, terms[1:], traced.trace):
+    for i, ((rule, stats), term, step) in enumerate(zip(series, terms[1:], traced.trace), 1):
         assert rule == step.rule
-        assert stats == space_stats(term), (step.index, rule)
+        assert stats == space_stats(term), (i, rule)
         acc = acc.join(stats)
     assert mx == acc
     return out

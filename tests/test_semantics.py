@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import load_example
 from lh import eval_term, semantics
-from lh.harness import gen_source
+from lh.harness import check_trace, gen_source
 from lh.semantics import (
     IsBlame,
     IsValue,
@@ -46,11 +46,13 @@ from lh.syntax import (
     Var,
     alpha_eq,
     canon,
+    children,
     free_vars,
     subst,
     subterms,
     unroll,
 )
+from lh.typecheck import check_source
 
 ANY = parse_type("{x:Int|true}")
 NAT = parse_type("{x:Int|x >= 0}")
@@ -330,6 +332,39 @@ def _assert_agrees_with_reference(mode, e):
     return out
 
 
+# blame raised out of an application's function (E-AppRaiseL) and out of an
+# active check's predicate (E-CheckRaise) by a cast chain through {x:Int|x > 0}
+# over 0: classic and eidetic blame its inner cast and heedful its outer one;
+# forgetful merges it into a cast that passes, so the guard and the check fail
+RAISING = {
+    "E-AppRaiseL": (
+        r"(if (<{x:Int|x > 0} => {x:Int|true} @ l2> (<{x:Int|true} => {x:Int|x > 0} @ l1> 0)) > 0"
+        r" then \y:{x:Int|true}. y else \y:{x:Int|true}. y) 1",
+        {Mode.CLASSIC: "l1", Mode.FORGETFUL: 1, Mode.HEEDFUL: "l2", Mode.EIDETIC: "l1"},
+    ),
+    "E-CheckRaise": (
+        r"<{x:Int|true} => {x:Int| (<{x:Int|x > 0} => {x:Int|true} @ l2>"
+        r" (<{x:Int|true} => {x:Int|x > 0} @ l1> x)) > 0} @ l> 0",
+        {Mode.CLASSIC: "l1", Mode.FORGETFUL: "l", Mode.HEEDFUL: "l2", Mode.EIDETIC: "l1"},
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RAISING))
+def test_blame_raised_out_of_a_function_or_a_check(rule):
+    src, expected = RAISING[rule]
+    e = parse(src)
+    check_source(e)
+    fired = set()
+    for mode in ALL_MODES:
+        out = _assert_agrees_with_reference(mode, e)
+        assert (out.label if out.kind is OutcomeKind.BLAME else out.term.value) == expected[mode]
+        assert check_trace(mode, out.trace_terms()) == []
+        if rule in (s.rule for s in out.trace):
+            fired.add(mode)
+    assert fired == {Mode.CLASSIC, Mode.HEEDFUL, Mode.EIDETIC}
+
+
 @pytest.mark.parametrize("n", [5, 12])
 def test_machine_agrees_with_reference_stepper_on_fact(n):
     for mode in ALL_MODES:
@@ -481,7 +516,7 @@ def test_a_mergeable_cast_pair_merges_before_anything_else(monkeypatch):
     def subject_first(self, e):
         if self.is_value(e.subject):
             return cast(self, e)
-        return ("descend", semantics.Frame(e, 0, e.subject))
+        return ("descend", e, 0, e.subject)
 
     monkeypatch.setattr(Machine, "_cast", subject_first)
     assert not all(_merges_first(mode, node) for mode, node in pairs if mode is not Mode.FORGETFUL)
@@ -498,13 +533,13 @@ class _CountingObserver:
         self.root = root
 
     def push(self, frame, child):
-        assert child is frame.hole
+        assert child is children(frame.orig)[frame.index]
         self.frames.append(frame)
         self.pushes += 1
 
     def pop(self, frame, child, rebuilt):
         assert self.frames.pop() is frame
-        assert (rebuilt is frame.orig) == (child is frame.hole)
+        assert (rebuilt is frame.orig) == (child is children(frame.orig)[frame.index])
         self.pops += 1
 
     def step(self, rule, ctx, old, new):

@@ -8,6 +8,7 @@ from lh.syntax import (
     BaseType,
     Blame,
     Cast,
+    Cond,
     Const,
     EMPTY_ANN,
     Fun,
@@ -98,6 +99,16 @@ def test_source_discipline_rejects_runtime_forms():
 def test_blame_checks_at_any_type_at_runtime():
     Checker(Mode.CLASSIC).check({}, Blame("l"), NAT)
     Checker(Mode.CLASSIC).check({}, Blame("l"), Fun(ANY, NAT))
+
+
+def test_a_conditional_whose_then_branch_infers_nothing_takes_the_else_type():
+    # at runtime blame infers no type, so the else branch's type is checked
+    # against the then branch; the source discipline rejects the blame
+    e = Cond(Const(True), Blame("l"), Const(1))
+    assert alpha_eq(Checker(Mode.CLASSIC).infer({}, e), ANY)
+    with pytest.raises(TypeCheckError) as exc:
+        Checker(Mode.CLASSIC, source=True).infer({}, e)
+    assert str(exc.value) == "SourceViolation at /then: blame is a runtime-only form"
 
 
 def test_unbound_variable():
