@@ -31,7 +31,7 @@ from .semantics import (
 )
 from .surface import ParseError, parse, parse_type, print_term, print_type
 from .syntax import Mode, Refinement, Term, Type
-from .typecheck import TypeCheckError, check_source
+from .typecheck import Checker, TypeCheckError, check_source
 
 EXIT_VALUE = 0
 EXIT_BLAME = 1
@@ -58,8 +58,9 @@ def _mode(text: str) -> Mode:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _load_oracle(path: Optional[str]) -> ImplicationOracle:
-    """The oracle of an --axioms file, or alpha-equality without one."""
+def _load_oracle(path: Optional[str], mode: Mode) -> ImplicationOracle:
+    """The oracle of an --axioms file, whose types must be well formed in
+    mode, or alpha-equality without one."""
 
     if path is None:
         return DEFAULT_ORACLE
@@ -72,14 +73,16 @@ def _load_oracle(path: Optional[str]) -> ImplicationOracle:
         isinstance(p, list) and len(p) == 2 and all(isinstance(t, str) for t in p) for p in raw_pairs
     ):
         raise InputError(f"axioms {path}: expected a JSON list of [type, type] string pairs")
-    pairs = []
+    pairs, checker = [], Checker(mode)
     for lhs, rhs in raw_pairs:
         try:
             t1, t2 = parse_type(lhs), parse_type(rhs)
-        except (ParseError, RecursionError) as exc:  # the parser recurses on nesting
+            checker.wf_type(t1)
+            checker.wf_type(t2)
+        except (ParseError, TypeCheckError, RecursionError) as exc:  # the parser recurses on nesting
             raise InputError(f"axioms {path}: {exc}") from exc
-        if not (isinstance(t1, Refinement) and isinstance(t2, Refinement)):
-            raise InputError(f"axioms {path}: a pair must relate two refinement types")
+        if not (isinstance(t1, Refinement) and isinstance(t2, Refinement) and t1.base is t2.base):
+            raise InputError(f"axioms {path}: a pair must relate two refinement types of one base type")
         pairs.append((t1, t2))
     return axiom_oracle(pairs)
 
@@ -130,7 +133,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     try:
         term, _ = _read_program(args.file)
-        mach = Machine(args.mode, oracle=_load_oracle(args.axioms), choose_policy=args.choose)
+        mach = Machine(args.mode, oracle=_load_oracle(args.axioms, args.mode), choose_policy=args.choose)
         meter = Meter(series=args.json) if args.space else None  # only --json prints the series
         out = mach.eval(term, args.budget, trace=args.trace, observer=meter)
         if args.json:

@@ -37,9 +37,9 @@ from .syntax import (
     ActiveCheck,
     Blame,
     Cast,
-    Coerce,
     CoercionStack,
     Const,
+    FunC,
     Mode,
     Refs,
     HOLDERS,
@@ -100,16 +100,16 @@ def _own(e: Term, keys: frozenset) -> tuple[frozenset, int, int]:
     if alone:
         keys = _with_keys(keys, frozenset(map(canon, alone)))
     if isinstance(e, Cast):
-        return keys, 1, _coercion_reflen(e.ann.coercion) if isinstance(e.ann, Coerce) else 0
+        return keys, 1, _reflen(e.ann)
     if isinstance(e, CoercionStack):
         return keys, 1, len(e.pending)
     return keys, int(isinstance(e, ActiveCheck)), 0  # Abs and Fix hold no pending check
 
 
-def _coercion_reflen(c) -> int:
-    if isinstance(c, Refs):
-        return len(c.entries)
-    return max(_coercion_reflen(c.dom), _coercion_reflen(c.cod))
+def _reflen(ann) -> int:
+    if isinstance(ann, Refs):
+        return len(ann.entries)
+    return max(_reflen(ann.dom), _reflen(ann.cod)) if isinstance(ann, FunC) else 0
 
 
 def _with_keys(keys: frozenset, more: frozenset) -> frozenset:

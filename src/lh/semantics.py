@@ -13,10 +13,11 @@ the frames around it (`rest`), and it rebuilds the node through the shape
 table of `syntax` (`with_child`).
 
 Both find a node's local rule in one table per mode, keyed by the node's
-class (`_RULES`).  Only the cast rule differs between modes; it and the
-proxy judgment (`_PROXIES`) are picked when the `Machine` is made, so no rule
-tests the mode again.  Classes are compared with `is`, since no term, type,
-annotation or coercion class has a subclass.
+class (`_RULES`).  Only the cast rule differs between modes; it, the proxy
+judgment (`_PROXIES`) and the merge of a cast over a cast (`_MERGES`) are
+picked when the `Machine` is made, so no rule tests the mode again.  Classes
+are compared with `is`, since no term, type, annotation or coercion class has
+a subclass.  An eidetic cast is annotated with its coercion itself.
 
 Heedful's E-CheckSet checks a type set one member at a time, in the order
 `choose` takes them: first to last (`lex-min`) or last to first (`lex-max`)
@@ -63,7 +64,6 @@ from .syntax import (
     BaseType,
     Blame,
     Cast,
-    Coerce,
     Coercion,
     CoercionStack,
     Cond,
@@ -101,18 +101,13 @@ INT_MAX = 2**63 - 1
 # Implication oracle
 
 
-@dataclass(frozen=True)
-class ImplicationOracle:
-    """Decidable pre-order on refinements; adequacy is assumed, not checked."""
+# A decidable pre-order on refinements; adequacy is assumed, not checked.
+ImplicationOracle = Callable[[Refinement, Refinement], bool]
 
-    name: str
-    decide: Callable[[Refinement, Refinement], bool]
+DEFAULT_ORACLE: ImplicationOracle = alpha_eq
 
 
-DEFAULT_ORACLE = ImplicationOracle("alpha-eq", alpha_eq)
-
-
-def axiom_oracle(axioms: list[tuple[Refinement, Refinement]], name: str = "axioms") -> ImplicationOracle:
+def axiom_oracle(axioms: list[tuple[Refinement, Refinement]]) -> ImplicationOracle:
     """Close a finite axiom list under reflexivity and transitivity."""
 
     edges: dict[str, set[str]] = {}
@@ -133,12 +128,12 @@ def axiom_oracle(axioms: list[tuple[Refinement, Refinement]], name: str = "axiom
             return True
         return canon(t2) in edges.get(canon(t1), ())
 
-    return ImplicationOracle(name, decide)
+    return decide
 
 
 def implies(oracle: ImplicationOracle, t1: Refinement, t2: Refinement) -> bool:
     assert t1.base is t2.base, "implication is only defined at a single base type"
-    return oracle.decide(t1, t2)
+    return oracle(t1, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +174,8 @@ def split_annotation(ann) -> tuple:
             doms.append(t.dom)
             cods.append(t.cod)
         return Types.of(doms), Types.of(cods)
-    assert isinstance(ann.coercion, FunC), "split_annotation: coercion is not a function coercion"
-    return Coerce(ann.coercion.dom), Coerce(ann.coercion.cod)
+    assert isinstance(ann, FunC), "split_annotation: coercion is not a function coercion"
+    return ann.dom, ann.cod
 
 
 def coerce(t1: Type, t2: Type, label: str) -> Coercion:
@@ -222,13 +217,7 @@ def merge(mode: Mode, a1, t2: Type, a2, oracle: ImplicationOracle = DEFAULT_ORAC
     """Merge the annotations a1 and a2 of two adjacent casts that meet at t2,
     or None where undefined."""
 
-    if mode is Mode.FORGETFUL and isinstance(a1, EmptyAnn) and isinstance(a2, EmptyAnn):
-        return EMPTY_ANN
-    if mode is Mode.HEEDFUL and isinstance(a1, Types) and isinstance(a2, Types):
-        return Types.of(a1.members + a2.members + (t2,))
-    if mode is Mode.EIDETIC and isinstance(a1, Coerce) and isinstance(a2, Coerce):
-        return Coerce(coercion_merge(a1.coercion, a2.coercion, oracle))
-    return None
+    return _MERGES[mode](a1, t2, a2, oracle)
 
 
 def status_join(s: Status, e_target: Term, e_popped: Term) -> Status:
@@ -459,10 +448,11 @@ class Machine:
         self.mode = mode
         self.oracle = oracle
         self.choose_policy = choose_policy
-        # the mode's local rules by node class, its proxy judgment, and the
-        # annotation class its casts carry once annotated (see _RULES below)
+        # the mode's local rules by node class, proxy judgment, merge and the
+        # annotation classes its casts carry once annotated (see _RULES below)
         self._rules = _RULES[mode]
         self._proxy = _PROXIES[mode]
+        self._merge = _MERGES[mode]
         self._ann = ANNOTATIONS[mode]
         self._judged = f"_value_{mode.value}"  # where a proxy keeps its value judgment
 
@@ -566,8 +556,7 @@ class Machine:
         if type(e.ann) is EmptyAnn:  # annotate source casts first
             if e.label is None:
                 return (_STUCK, "eidetic cast with empty annotation and empty label")
-            ann = Coerce(coerce(e.src, e.tgt, e.label))
-            return (_STEP, Cast(e.src, ann, e.tgt, None, e.subject), "E-Coerce")
+            return (_STEP, Cast(e.src, coerce(e.src, e.tgt, e.label), e.tgt, None, e.subject), "E-Coerce")
         return self._cast(e)
 
     def _cast(self, e: Cast):
@@ -577,7 +566,7 @@ class Machine:
             return (_STEP, Blame(subject.label), "E-CastRaise")
         # 2. merge adjacent casts whenever the mode can
         if type(subject) is Cast:
-            merged = merge(self.mode, subject.ann, subject.tgt, e.ann, self.oracle)
+            merged = self._merge(subject.ann, subject.tgt, e.ann, self.oracle)
             if merged is not None:
                 return (_STEP, Cast(subject.src, merged, e.tgt, e.label, subject.subject), "E-CastMergeE")
         # 3. otherwise step the subject
@@ -592,7 +581,7 @@ class Machine:
             k = e.subject
             if type(k) is not Const:
                 return (_STUCK, "refinement cast over a non-constant value")
-            if ann is not self._ann:
+            if ann not in self._ann:
                 return (_STUCK, FOREIGN_ANNOTATION[ann])
             if ann is EmptyAnn:
                 return (_STEP, self._start_check(tgt, k, e.label), "E-CheckNoneC")
@@ -602,9 +591,9 @@ class Machine:
                 chosen, rest = choose(e.ann, self.choose_policy)
                 assert isinstance(chosen, Refinement)
                 return (_STEP, Cast(chosen, rest, tgt, e.label, self._start_check(chosen, k, e.label)), "E-CheckSet")
-            if type(e.ann.coercion) is not Refs:
+            if ann is not Refs:
                 return (_STUCK, "function coercion on a refinement cast")
-            stack = CoercionStack(tgt, Status.UNCHECKED, e.ann.coercion.entries, k, k)
+            stack = CoercionStack(tgt, Status.UNCHECKED, e.ann.entries, k, k)
             return (_STEP, stack, "E-CoerceStack")
         if type(src) is Fun and type(tgt) is Fun:
             if self.is_value(e):
@@ -734,18 +723,29 @@ _PROXIES: dict[Mode, Callable[[Machine, Cast], bool]] = {
     Mode.CLASSIC: lambda m, e: type(e.ann) is EmptyAnn,
     Mode.FORGETFUL: lambda m, e: type(e.ann) is EmptyAnn and type(e.subject) is Abs,
     Mode.HEEDFUL: lambda m, e: type(e.ann) is Types and type(e.subject) is Abs,
-    Mode.EIDETIC: lambda m, e: (
-        type(e.ann) is Coerce and type(e.ann.coercion) is FunC and e.label is None and type(e.subject) is Abs
+    Mode.EIDETIC: lambda m, e: type(e.ann) is FunC and e.label is None and type(e.subject) is Abs,
+}
+
+# How a mode merges the annotations of a cast over a cast (`merge`), None
+# where it does not.
+_COERCIONS = (Refs, FunC)
+_MERGES: dict[Mode, Callable] = {
+    Mode.CLASSIC: lambda a1, t2, a2, oracle: None,
+    Mode.FORGETFUL: lambda a1, t2, a2, oracle: EMPTY_ANN if type(a1) is type(a2) is EmptyAnn else None,
+    Mode.HEEDFUL: lambda a1, t2, a2, oracle: (
+        Types.of(a1.members + a2.members + (t2,)) if type(a1) is type(a2) is Types else None
+    ),
+    Mode.EIDETIC: lambda a1, t2, a2, oracle: (
+        coercion_merge(a1, a2, oracle) if type(a1) in _COERCIONS and type(a2) in _COERCIONS else None
     ),
 }
 
-# The annotation class a mode's casts carry once annotated, and why a cast
+# The annotation classes a mode's casts carry once annotated, and why a cast
 # carrying another class is out of place; the typechecker reads both.
-ANNOTATIONS = {Mode.CLASSIC: EmptyAnn, Mode.FORGETFUL: EmptyAnn, Mode.HEEDFUL: Types, Mode.EIDETIC: Coerce}
+ANNOTATIONS = {Mode.CLASSIC: (EmptyAnn,), Mode.FORGETFUL: (EmptyAnn,), Mode.HEEDFUL: (Types,), Mode.EIDETIC: _COERCIONS}
 FOREIGN_ANNOTATION = {
-    EmptyAnn: "unannotated refinement cast in an annotating mode",
     Types: "type-set annotation outside heedful mode",
-    Coerce: "coercion annotation outside eidetic mode",
+    **dict.fromkeys(_COERCIONS, "coercion annotation outside eidetic mode"),
 }
 
 _DEFAULT_MACHINES: dict[Mode, Machine] = {}

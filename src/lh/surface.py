@@ -339,18 +339,16 @@ def _show_label(label) -> str:
     return label if label is not None else "•"
 
 
-def _show_ann(ann) -> str:
+def _show_ann(ann, sep: str = " ! ") -> str:
+    """A cast annotation as it follows the label; a coercion's parts without sep."""
+
     if isinstance(ann, EmptyAnn):
         return ""
     if isinstance(ann, Types):
-        return " ! {" + ", ".join(print_type(t) for t in ann.members) + "}"
-    return " ! " + _show_coercion(ann.coercion)
-
-
-def _show_coercion(c) -> str:
-    if isinstance(c, Refs):
-        return "[" + ", ".join(print_type(x.ref) + "^" + x.label for x in c.entries) + "]"
-    return "(" + _show_coercion(c.dom) + " |-> " + _show_coercion(c.cod) + ")"
+        return sep + "{" + ", ".join(print_type(t) for t in ann.members) + "}"
+    if isinstance(ann, Refs):
+        return sep + "[" + ", ".join(print_type(x.ref) + "^" + x.label for x in ann.entries) + "]"
+    return sep + "(" + _show_ann(ann.dom, "") + " |-> " + _show_ann(ann.cod, "") + ")"
 
 
 def _show(e: Term, minimum: int) -> str:

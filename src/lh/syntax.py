@@ -6,12 +6,12 @@ immutable after construction and safe to share between threads.
 
 Term shape is written down once, here: `children(e)` lists a term node's
 immediate subterms, `with_child(e, i, c)` rebuilds e with c as its i-th
-child (`rebuilt_at` inverts it), `subterms(e)` walks them all, and
-`held_types(e)` lists the types the node holds itself, split into those that
-count with their structural parts and refinement-list entries that count
-alone.  That split decides `types(e)`, the set of types no reduction step may
-grow.  `semantics`, `metering` and `harness` read the term shape only
-through these.
+child (`rebuilt_at` inverts it, from `children` and the parts each class
+keeps), `subterms(e)` walks them all, and `held_types(e)` lists the types
+the node holds itself, split into those that count with their structural
+parts and refinement-list entries that count alone.  That split decides
+`types(e)`, the set of types no reduction step may grow.  `semantics`,
+`metering` and `harness` read the term shape only through these.
 
 The part map is the other half: `map_parts(node, f, last)` copies a term or
 type node with f applied to every term and type directly inside it,
@@ -187,15 +187,8 @@ class Types:
 
 EMPTY_TYPES = Types(())
 
-
-@dataclass(frozen=True, eq=False)
-class Coerce:
-    """Eidetic annotation: the cast's full checking plan."""
-
-    coercion: Coercion
-
-
-Annotation = Union[EmptyAnn, Types, Coerce]
+# an eidetic cast is annotated with its coercion, the cast's full checking plan
+Annotation = Union[EmptyAnn, Types, Refs, FunC]
 
 
 # ---------------------------------------------------------------------------
@@ -344,29 +337,14 @@ def with_child(e: Term, i: int, child: Term) -> Term:
     return rebuild(e, i, child)
 
 
-def _one_changed(old: tuple, new: tuple) -> Optional[tuple[int, Term]]:
-    changed = [i for i, kid in enumerate(new) if kid is not old[i]]
-    return (changed[0], new[changed[0]]) if len(changed) == 1 else None
-
-
-_REBUILT_AT = {
-    Cast: lambda o, n: (
-        (0, n.subject)
-        if n.subject is not o.subject and n.src is o.src and n.ann is o.ann and n.tgt is o.tgt and n.label is o.label
-        else None
-    ),
-    App: lambda o, n: (
-        ((1, n.arg) if n.arg is not o.arg else None) if n.fn is o.fn else (0, n.fn) if n.arg is o.arg else None
-    ),
-    Cond: lambda o, n: _one_changed((o.guard, o.then, o.orelse), (n.guard, n.then, n.orelse)),
-    Op: lambda o, n: _one_changed(o.args, n.args) if n.name is o.name and len(n.args) == len(o.args) else None,
-    ActiveCheck: lambda o, n: _one_changed(children(o), children(n)) if n.tgt is o.tgt and n.label is o.label else None,
-    CoercionStack: lambda o, n: (
-        _one_changed(children(o), children(n)) if n.tgt is o.tgt and n.status is o.status and n.pending is o.pending else None
-    ),
-    **dict.fromkeys(
-        (Abs, Fix), lambda o, n: (0, n.body) if n.body is not o.body and n.binder is o.binder and n.annot is o.annot else None
-    ),
+# the parts besides its children that a node keeps when rebuilt at a child
+_KEPT = {
+    Cast: ("src", "ann", "tgt", "label"),
+    **dict.fromkeys((App, Cond), ()),
+    Op: ("name",),
+    ActiveCheck: ("tgt", "label"),
+    CoercionStack: ("tgt", "status", "pending"),
+    **dict.fromkeys((Abs, Fix), ("binder", "annot")),
 }
 
 
@@ -374,8 +352,15 @@ def rebuilt_at(old: Term, new: Term) -> Optional[tuple[int, Term]]:
     """The inverse of `with_child`: (i, c) if new is old with c, a different
     object, for its i-th child and every other part the same; else None."""
 
-    rebuilt = _REBUILT_AT.get(type(new))
-    return rebuilt(old, new) if rebuilt is not None and type(old) is type(new) else None
+    kept = _KEPT.get(type(new))
+    if kept is None or type(old) is not type(new):
+        return None
+    for part in kept:
+        if getattr(new, part) is not getattr(old, part):
+            return None
+    kids, new_kids = children(old), children(new)
+    changed = [i for i, kid in enumerate(new_kids) if kid is not kids[i]] if len(kids) == len(new_kids) else ()
+    return (changed[0], new_kids[changed[0]]) if len(changed) == 1 else None
 
 
 def subterms(e: Term) -> Iterator[Term]:
@@ -403,9 +388,7 @@ def held_types(e: Term) -> tuple[tuple[Type, ...], tuple[Refinement, ...]]:
         ann = e.ann
         if isinstance(ann, Types):
             return (e.src, e.tgt, *ann.members), ()
-        if isinstance(ann, Coerce):
-            return (e.src, e.tgt), _coercion_refs(ann.coercion)
-        return (e.src, e.tgt), ()
+        return (e.src, e.tgt), () if isinstance(ann, EmptyAnn) else _coercion_refs(ann)
     if isinstance(e, ActiveCheck):
         return (e.tgt,), ()
     if isinstance(e, CoercionStack):
@@ -429,17 +412,13 @@ def _coercion_refs(c: Coercion) -> tuple[Refinement, ...]:
 # Part map: every term and type directly inside a node
 
 
-def _map_coercion(c: Coercion, f) -> Coercion:
-    if isinstance(c, Refs):
-        return Refs(tuple([RefEntry(f(x.ref), x.label) for x in c.entries]))
-    return FunC(_map_coercion(c.dom, f), _map_coercion(c.cod, f))
-
-
 def _map_ann(ann: Annotation, f) -> Annotation:
     if isinstance(ann, Types):
         return Types.of(map(f, ann.members))
-    if isinstance(ann, Coerce):
-        return Coerce(_map_coercion(ann.coercion, f))
+    if isinstance(ann, Refs):
+        return Refs(tuple([RefEntry(f(x.ref), x.label) for x in ann.entries]))
+    if isinstance(ann, FunC):
+        return FunC(_map_ann(ann.dom, f), _map_ann(ann.cod, f))
     return ann
 
 
@@ -728,22 +707,17 @@ def _canon_ann(ann: Annotation, env: dict[str, int], depth: int, out: list[str])
             _canon_into(t, env, depth, out)
             out.append(",")
         out.append("}")
-    else:
-        _canon_coercion(ann.coercion, env, depth, out)
-
-
-def _canon_coercion(c: Coercion, env: dict[str, int], depth: int, out: list[str]) -> None:
-    if isinstance(c, Refs):
+    elif isinstance(ann, Refs):
         out.append("[")
-        for entry in c.entries:
+        for entry in ann.entries:
             _canon_into(entry.ref, env, depth, out)
             out.append(f"^{entry.label},")
         out.append("]")
     else:
         out.append("(")
-        _canon_coercion(c.dom, env, depth, out)
+        _canon_ann(ann.dom, env, depth, out)
         out.append("|->")
-        _canon_coercion(c.cod, env, depth, out)
+        _canon_ann(ann.cod, env, depth, out)
         out.append(")")
 
 

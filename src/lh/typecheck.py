@@ -6,15 +6,20 @@ syntax-directed (constants against refinements, blame, branches).  The
 runtime rules for active checks and coercion stacks replay predicate
 evaluation with a step budget, so re-typechecking whole traces is decidable.
 
+A `Checker` has one discipline, runtime or `source`, read by every rule; a
+source checker types refinement predicates with a runtime twin, since the
+predicate `x mod 2 = 0` checks `2` against `mod`'s nonzero divisor by replay.
+
 Memoization.  Nodes are immutable and compared by identity, so a verdict
-about a node holds for as long as the node exists.  Each `Checker` keeps
-its successful judgments in one memo it owns (never in node attributes):
-a dict from a node, by identity, to the judgments about it, which are
+about a node holds for as long as the node exists.  `infer` and `check`
+are the memoised entry points: each `Checker` keeps its successful
+judgments in one memo it owns (never in node attributes), a dict from a
+node, by identity, to the judgments about it, which are
 
 - for a type node: `wf_type` succeeded on it;
-- for a closed term (one checked under the empty environment, always with
-  the checker's own `source` flag): the type `infer` gave it; for each
-  expected type object it was checked against, that `check` succeeded.
+- for a closed term (one checked under the empty environment): the type
+  `infer` gave it; for each expected type object it was checked against,
+  that `check` succeeded.
 
 Failures are never stored, so every error is raised again, with the same
 kind, path and message, by the same rules.  The memo has no generations: a
@@ -171,6 +176,10 @@ class Checker:
     # node -> {judgment key: result}, for the successful judgments only
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        # types refinement predicates: self, or a source checker's runtime twin
+        self._runtime = Checker(self.mode, False, self.oracle, self.budget) if self.source else self
+
     def forget(self, nodes: Iterable[Union[Term, Type]]) -> None:
         """Drop every judgment about these nodes."""
 
@@ -225,7 +234,7 @@ class Checker:
         if isinstance(t, Refinement):
             if is_raw(t):
                 return  # WF-Base: raw types are axiomatically well formed
-            pred_t = self._infer({t.binder: raw(t.base)}, t.predicate, path + "/pred", source=False)
+            pred_t = self._runtime.infer({t.binder: raw(t.base)}, t.predicate, path + "/pred")
             if not (isinstance(pred_t, Refinement) and pred_t.base is BaseType.BOOL):
                 raise TypeCheckError(PREDICATE_NOT_BOOL, path, "refinement predicate is not boolean")
             return
@@ -240,7 +249,7 @@ class Checker:
         kind = type(ann)
         if kind is EmptyAnn:
             return
-        if kind is not ANNOTATIONS[self.mode]:
+        if kind not in ANNOTATIONS[self.mode]:
             raise TypeCheckError(ILL_FORMED_ANNOTATION, path, FOREIGN_ANNOTATION[kind])
         if kind is Types:
             for t in ann.members:
@@ -248,7 +257,7 @@ class Checker:
                 if not similar(t, t1):
                     raise TypeCheckError(ILL_FORMED_ANNOTATION, path, "type-set member dissimilar to the cast")
             return
-        self._wf_coercion(ann.coercion, t1, t2, path)
+        self._wf_coercion(ann, t1, t2, path)
 
     def _wf_coercion(self, c: Coercion, t1: Type, t2: Type, path: str) -> None:
         if isinstance(c, Refs):
@@ -279,34 +288,28 @@ class Checker:
     # -- typing
 
     def infer(self, env: Mapping[str, Type], e: Term, path: str = "") -> Type:
-        return self._infer(dict(env), e, path, self.source)
-
-    def check(self, env: Mapping[str, Type], e: Term, t: Type, path: str = "") -> None:
-        self._check(dict(env), e, t, path, self.source)
-
-    def _infer(self, env: dict[str, Type], e: Term, path: str, source: bool) -> Type:
         if env:
-            return self._infer_rule(env, e, path, source)
+            return self._infer_rule(env, e, path)
         facts = self._memo.get(e)
         if facts is not None:
             t = facts.get(_INFERRED)
             if t is not None:
                 return t
-        t = self._infer_rule(env, e, path, source)
+        t = self._infer_rule(env, e, path)
         self._note(e, _INFERRED, t)
         return t
 
-    def _infer_rule(self, env: dict[str, Type], e: Term, path: str, source: bool) -> Type:
+    def _infer_rule(self, env: Mapping[str, Type], e: Term, path: str) -> Type:
         # casts first: they are the most frequent form in trace terms, and
         # each branch takes one form, so the order decides speed only
         if isinstance(e, Cast):
-            if source:
+            if self.source:
                 if not isinstance(e.ann, EmptyAnn):
                     raise TypeCheckError(SOURCE_VIOLATION, path, "source casts carry empty annotations")
                 if e.label is None:
                     raise TypeCheckError(SOURCE_VIOLATION, path, "source casts carry named blame labels")
             self.wf_annotation(e.ann, e.src, e.tgt, path)
-            self._check(env, e.subject, e.src, path + "/subject", source)
+            self.check(env, e.subject, e.src, path + "/subject")
             return e.tgt
         if isinstance(e, Var):
             if e.name not in env:
@@ -316,66 +319,66 @@ class Checker:
             return raw(e.base)
         if isinstance(e, Abs):
             self.wf_type(e.annot, path + "/annot")
-            body_t = self._infer({**env, e.binder: e.annot}, e.body, path + "/body", source)
+            body_t = self.infer({**env, e.binder: e.annot}, e.body, path + "/body")
             return Fun(e.annot, body_t)
         if isinstance(e, Fix):
             self.wf_type(e.annot, path + "/annot")
-            self._check({**env, e.binder: e.annot}, e.body, e.annot, path + "/body", source)
+            self.check({**env, e.binder: e.annot}, e.body, e.annot, path + "/body")
             return e.annot
         if isinstance(e, App):
-            fn_t = self._infer(env, e.fn, path + "/fn", source)
+            fn_t = self.infer(env, e.fn, path + "/fn")
             if not isinstance(fn_t, Fun):
                 raise TypeCheckError(NOT_A_FUNCTION, path, "application of a non-function")
-            self._check(env, e.arg, fn_t.dom, path + "/arg", source)
+            self.check(env, e.arg, fn_t.dom, path + "/arg")
             return fn_t.cod
         if isinstance(e, Op):
             doms, cod = op_signature(e.name)
             if len(doms) != len(e.args):
                 raise TypeCheckError(OP_ARITY, path, f"{e.name!r} expects {len(doms)} arguments")
             for i, (arg, dom) in enumerate(zip(e.args, doms)):
-                self._check(env, arg, dom, f"{path}/arg{i}", source)
+                self.check(env, arg, dom, f"{path}/arg{i}")
             return cod
         if isinstance(e, Cond):
-            self._check_guard(env, e.guard, path + "/guard", source)
+            self._check_guard(env, e.guard, path + "/guard")
             try:
-                t = self._infer(env, e.then, path + "/then", source)
+                t = self.infer(env, e.then, path + "/then")
             except TypeCheckError:
-                t = self._infer(env, e.orelse, path + "/else", source)
-                self._check(env, e.then, t, path + "/then", source)
+                t = self.infer(env, e.orelse, path + "/else")
+                self.check(env, e.then, t, path + "/then")
                 return t
-            self._check(env, e.orelse, t, path + "/else", source)
+            self.check(env, e.orelse, t, path + "/else")
             return t
         if isinstance(e, Blame):
-            if source:
+            if self.source:
                 raise TypeCheckError(SOURCE_VIOLATION, path, "blame is a runtime-only form")
             raise TypeCheckError(ILL_FORMED_TYPE, path, "cannot infer a type for blame")
         if isinstance(e, ActiveCheck):
-            if source:
+            if self.source:
                 raise TypeCheckError(SOURCE_VIOLATION, path, "active checks are runtime-only forms")
             return self._infer_check_form(e, path)
         if isinstance(e, CoercionStack):
-            if source:
+            if self.source:
                 raise TypeCheckError(SOURCE_VIOLATION, path, "coercion stacks are runtime-only forms")
             return self._infer_stack(e, path)
         raise TypeCheckError(ILL_FORMED_TYPE, path, f"unknown term {type(e).__name__}")
 
-    def _check_guard(self, env: dict[str, Type], guard: Term, path: str, source: bool) -> None:
-        if isinstance(guard, Blame) and not source:
+    def _check_guard(self, env: Mapping[str, Type], guard: Term, path: str) -> None:
+        if isinstance(guard, Blame) and not self.source:
             return
-        t = self._infer(env, guard, path, source)
+        t = self.infer(env, guard, path)
         if not (isinstance(t, Refinement) and t.base is BaseType.BOOL):
             raise TypeCheckError(PREDICATE_NOT_BOOL, path, "conditional guard is not boolean")
 
-    def _check(self, env: dict[str, Type], e: Term, t: Type, path: str, source: bool) -> None:
+    def check(self, env: Mapping[str, Type], e: Term, t: Type, path: str = "") -> None:
         if env:
-            self._check_rule(env, e, t, path, source)
+            self._check_rule(env, e, t, path)
             return
         facts = self._memo.get(e)
         if facts is None or t not in facts:
-            self._check_rule(env, e, t, path, source)
+            self._check_rule(env, e, t, path)
             self._note(e, t, True)
 
-    def _check_rule(self, env: dict[str, Type], e: Term, t: Type, path: str, source: bool) -> None:
+    def _check_rule(self, env: Mapping[str, Type], e: Term, t: Type, path: str) -> None:
         if isinstance(e, _CHECKING_FORMS):
             if isinstance(e, Const):
                 if not isinstance(t, Refinement):
@@ -384,14 +387,14 @@ class Checker:
                     raise TypeCheckError(NOT_SIMILAR, path, "constant at the wrong base type")
                 if is_raw(t):
                     return
-                if source:
+                if self.source:
                     raise TypeCheckError(SOURCE_VIOLATION, path, "source constants have raw types")
                 self.wf_type(t, path)
                 if not self._reaches(subst(t.predicate, t.binder, e), _TRUE, path):
                     raise TypeCheckError(NOT_SIMILAR, path, "constant does not satisfy the refinement")
                 return
             if isinstance(e, Blame):
-                if source:
+                if self.source:
                     raise TypeCheckError(SOURCE_VIOLATION, path, "blame is a runtime-only form")
                 self.wf_type(t, path)
                 return
@@ -399,26 +402,26 @@ class Checker:
                 if not alpha_eq(e.annot, t.dom):
                     raise TypeCheckError(NOT_SIMILAR, path, "lambda annotation differs from the expected domain")
                 self.wf_type(e.annot, path + "/annot")
-                self._check({**env, e.binder: e.annot}, e.body, t.cod, path + "/body", source)
+                self.check({**env, e.binder: e.annot}, e.body, t.cod, path + "/body")
                 return
             if isinstance(e, Cond):
-                self._check_guard(env, e.guard, path + "/guard", source)
-                self._check(env, e.then, t, path + "/then", source)
-                self._check(env, e.orelse, t, path + "/else", source)
+                self._check_guard(env, e.guard, path + "/guard")
+                self.check(env, e.then, t, path + "/then")
+                self.check(env, e.orelse, t, path + "/else")
                 return
             if isinstance(e, App) and isinstance(e.fn, Abs):
                 # push the expected type through the redex so substituted
                 # constants can be checked against refined codomains
-                self._check(env, e.fn, Fun(e.fn.annot, t), path + "/fn", source)
-                self._check(env, e.arg, e.fn.annot, path + "/arg", source)
+                self.check(env, e.fn, Fun(e.fn.annot, t), path + "/fn")
+                self.check(env, e.arg, e.fn.annot, path + "/arg")
                 return
-            if isinstance(e, App) and isinstance(e.fn, Blame) and not source:
+            if isinstance(e, App) and isinstance(e.fn, Blame) and not self.source:
                 # blame stands at any type, including function types
                 self.wf_type(t, path)
                 if not isinstance(e.arg, Blame):
-                    self._infer(env, e.arg, path + "/arg", source)
+                    self.infer(env, e.arg, path + "/arg")
                 return
-        inferred = self._infer(env, e, path, source)
+        inferred = self.infer(env, e, path)
         if not alpha_eq(inferred, t):
             raise TypeCheckError(NOT_SIMILAR, path, "inferred type differs from the expected type")
 
@@ -435,7 +438,7 @@ class Checker:
             return None
         if type(e.fn) is Abs:
             return e.fn.annot
-        fn_t = self._infer({}, e.fn, "", self.source)
+        fn_t = self.infer({}, e.fn)
         return fn_t.dom if type(fn_t) is Fun else None
 
     def carry(self, old: Term, i: int, kid: Term, new: Optional[Term] = None) -> Optional[bool]:
@@ -451,14 +454,14 @@ class Checker:
             return None
         t = self._child_type(old, i)
         if t is not None:
-            self._check({}, kid, t, "", self.source)
+            self.check({}, kid, t)
             if new is not None:
                 self._memo[new] = facts.copy()
             return True
         if new is None:
             return False
         for t in [t for t in facts if t is not _INFERRED]:
-            self._check({}, new, t, "", self.source)
+            self.check({}, new, t)
         return facts.items() <= self._memo.get(new, {}).items()
 
     def knows(self, e: Term, t: Type) -> bool:

@@ -20,7 +20,6 @@ from lh.syntax import (
     ALL_MODES,
     App,
     Cast,
-    Coerce,
     Const,
     EMPTY_ANN,
     Fix,
@@ -79,9 +78,9 @@ def test_criterion_2_eidetic_trace_shape(e3):
     starts_ok = rules[0] == "E-Coerce" and rules[1] == "E-Coerce" and rules[2] == "E-CastMergeE"
     merged = None
     for term in reversed(out.trace_terms()):
-        if isinstance(term, Cast) and isinstance(term.ann, Coerce) and isinstance(term.ann.coercion, Refs):
-            if len(term.ann.coercion.entries) == 3:
-                merged = term.ann.coercion.entries
+        if isinstance(term, Cast) and isinstance(term.ann, Refs):
+            if len(term.ann.entries) == 3:
+                merged = term.ann.entries
                 break
     expected = [(NAT, "l1"), (EVEN, "l2"), (NZ, "l3")]
     list_ok = merged is not None and all(
@@ -217,8 +216,8 @@ def test_criterion_6_algebra_properties():
         pre = coercion_merge(Refs((RefEntry(src, "ls"),)), Refs(ref_drop(r2, src)))
         if eval_term(Mode.CLASSIC, Cast(ANY, EMPTY_ANN, src, "l", ks), 1_000).kind is not OutcomeKind.VALUE:
             continue
-        a = eval_term(Mode.EIDETIC, Cast(src, Coerce(full), tgt, None, ks), 5_000)
-        b = eval_term(Mode.EIDETIC, Cast(src, Coerce(pre), tgt, None, ks), 5_000)
+        a = eval_term(Mode.EIDETIC, Cast(src, full, tgt, None, ks), 5_000)
+        b = eval_term(Mode.EIDETIC, Cast(src, pre, tgt, None, ks), 5_000)
         if not outcomes_equal(a, b):
             violations += 1
 

@@ -251,8 +251,11 @@ def test_too_deeply_nested_program_is_an_input_error(tmp_path, capsys, text):
         json.dumps([["{x:Int|x >", "{x:Int|true}"]]),
         json.dumps([["{x:Int|true} -> {x:Int|true}", "{x:Int|true}"]]),
         json.dumps([["{x:Int|" + "(" * 600 + "x" + ")" * 600 + " >= 0}", "{x:Int|true}"]]),
+        json.dumps([["{x:Int|x > 0}", "{b:Bool|b}"]]),
+        json.dumps([["{x:Int|y > 0}", "{x:Int|true}"]]),
+        json.dumps([["{x:Int|true}", "{x:Int|x + 1}"]]),
     ],
-    ids=["bad-json", "not-pairs", "bad-type", "fn-type", "deep-type"],
+    ids=["bad-json", "not-pairs", "bad-type", "fn-type", "deep-type", "two-bases", "unbound-var", "not-bool"],
 )
 def test_bad_axioms_file_is_an_input_error(tmp_path, capsys, text):
     axioms = tmp_path / "axioms.json"

@@ -30,7 +30,6 @@ from lh.syntax import (
     Abs,
     App,
     Cast,
-    Coerce,
     Const,
     EMPTY_ANN,
     EMPTY_TYPES,
@@ -52,7 +51,7 @@ from lh.syntax import (
     subterms,
     unroll,
 )
-from lh.typecheck import check_source
+from lh.typecheck import Checker, TypeCheckError, check_source
 
 ANY = parse_type("{x:Int|true}")
 NAT = parse_type("{x:Int|x >= 0}")
@@ -135,8 +134,8 @@ def test_merge_modes():
     assert isinstance(merge(Mode.FORGETFUL, EMPTY_ANN, NAT, EMPTY_ANN), type(EMPTY_ANN))
     h = merge(Mode.HEEDFUL, EMPTY_TYPES, NAT, EMPTY_TYPES)
     assert isinstance(h, Types) and len(h.members) == 1 and alpha_eq(h.members[0], NAT)
-    e = merge(Mode.EIDETIC, Coerce(coerce(ANY, NAT, "l1")), NAT, Coerce(coerce(NAT, NZ, "l2")))
-    assert isinstance(e, Coerce) and len(e.coercion.entries) == 2
+    e = merge(Mode.EIDETIC, coerce(ANY, NAT, "l1"), NAT, coerce(NAT, NZ, "l2"))
+    assert isinstance(e, Refs) and len(e.entries) == 2
     assert merge(Mode.FORGETFUL, EMPTY_TYPES, NAT, EMPTY_ANN) is None
 
 
@@ -165,21 +164,45 @@ def test_status_join():
     assert status_join(Status.UNCHECKED, p, q) is Status.UNCHECKED
 
 
+_TYPE_SET = Types.of([NAT])
+_REF_LIST = coerce(ANY, NAT, "l")
+_FUN_COERCION = coerce(Fun(ANY, ANY), Fun(ANY, NAT), "l")
+_OUTSIDE_HEEDFUL = "type-set annotation outside heedful mode"
+_OUTSIDE_EIDETIC = "coercion annotation outside eidetic mode"
+
+
+@pytest.mark.parametrize(
+    "mode, ann, reason",
+    [pytest.param(m, _TYPE_SET, _OUTSIDE_HEEDFUL, id=f"types-{m.value}") for m in ALL_MODES if m is not Mode.HEEDFUL]
+    + [pytest.param(m, _REF_LIST, _OUTSIDE_EIDETIC, id=f"refs-{m.value}") for m in ALL_MODES if m is not Mode.EIDETIC]
+    + [pytest.param(m, _FUN_COERCION, _OUTSIDE_EIDETIC, id=f"func-{m.value}") for m in ALL_MODES if m is not Mode.EIDETIC]
+    + [pytest.param(Mode.EIDETIC, _FUN_COERCION, "function coercion on a refinement cast", id="func-on-refinement")],
+)
+def test_a_foreign_annotation_is_stuck_and_ill_formed(mode, ann, reason):
+    e = parse("<{x:Int|true} => {x:Int|x >= 0} @ l> 4")
+    e = Cast(e.src, ann, e.tgt, e.label, e.subject)
+    out = Machine(mode).eval(e, 100)
+    assert (out.kind, out.stuck_reason, out.steps) == (OutcomeKind.STUCK, reason, 0)
+    assert Machine(mode).step(e) == Stuck(reason)
+    with pytest.raises(TypeCheckError) as exc:
+        Checker(mode).wf_annotation(e.ann, e.src, e.tgt)
+    assert (exc.value.kind, exc.value.detail) == ("IllFormedAnnotation", reason)
+
+
 def test_split_annotation():
     d, c = split_annotation(EMPTY_ANN)
     assert isinstance(d, type(EMPTY_ANN)) and isinstance(c, type(EMPTY_ANN))
     fc = FunC(Refs((RefEntry(NAT, "l"),)), Refs((RefEntry(NZ, "l"),)))
-    d, c = split_annotation(Coerce(fc))
-    assert isinstance(d, Coerce) and d.coercion is fc.dom
-    assert isinstance(c, Coerce) and c.coercion is fc.cod
+    d, c = split_annotation(fc)
+    assert d is fc.dom and c is fc.cod
 
 
 def test_axiom_oracle_closure():
     oracle = axiom_oracle([(EVEN, NAT), (NAT, ANY)])
-    assert oracle.decide(EVEN, NAT)
-    assert oracle.decide(EVEN, ANY)  # transitivity
-    assert oracle.decide(NZ, NZ)  # reflexivity
-    assert not oracle.decide(NAT, EVEN)
+    assert oracle(EVEN, NAT)
+    assert oracle(EVEN, ANY)  # transitivity
+    assert oracle(NZ, NZ)  # reflexivity
+    assert not oracle(NAT, EVEN)
 
 
 # -- the running example
@@ -593,7 +616,7 @@ def test_eidetic_cast_congruence_single_step(seed):
     from lh.syntax import raw
 
     tgt = raw(ty.base)
-    wrap = lambda t: Cast(ty, Coerce(coerce(ty, tgt, "lw")), tgt, None, t)
+    wrap = lambda t: Cast(ty, coerce(ty, tgt, "lw"), tgt, None, t)
     a = eval_term(Mode.EIDETIC, wrap(before), 20_000)
     b = eval_term(Mode.EIDETIC, wrap(after), 20_000)
     assert a.kind is b.kind and a.label == b.label

@@ -28,6 +28,7 @@ from lh.syntax import (
     is_raw,
     map_parts,
     Mode,
+    rebuilt_at,
     Node,
     raw,
     subst,
@@ -129,6 +130,9 @@ def test_with_child_replaces_one_child_and_keeps_the_rest():
             assert new_kids[i] is c
             assert all(new_kids[j] is k for j, k in enumerate(kids) if j != i)
             assert all(getattr(new, f) is getattr(e, f) for f in own)
+            assert rebuilt_at(e, new) == (i, c)
+            for f in own:  # a node that differs in any other part is not rebuilt at a child
+                assert rebuilt_at(e, dataclasses.replace(new, **{f: object()})) is None
         kinds.add(type(e).__name__)
     assert kinds == {"Abs", "App", "Op", "Cast", "Cond", "Fix", "ActiveCheck", "CoercionStack"}
 

@@ -60,14 +60,14 @@ def test_wf_type():
 
 def test_wf_annotation_mode_discipline():
     from lh.semantics import coerce
-    from lh.syntax import Coerce, EMPTY_ANN, Types
+    from lh.syntax import EMPTY_ANN, Types
 
     Checker(Mode.CLASSIC).wf_annotation(EMPTY_ANN, ANY, NAT)
     ts = Types.of([EVEN])
     Checker(Mode.HEEDFUL).wf_annotation(ts, ANY, NAT)
     with pytest.raises(TypeCheckError):
         Checker(Mode.CLASSIC).wf_annotation(ts, ANY, NAT)
-    co = Coerce(coerce(ANY, NAT, "l"))
+    co = coerce(ANY, NAT, "l")
     Checker(Mode.EIDETIC).wf_annotation(co, ANY, NAT)
     with pytest.raises(TypeCheckError):
         Checker(Mode.HEEDFUL).wf_annotation(co, ANY, NAT)
