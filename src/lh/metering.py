@@ -137,8 +137,8 @@ def measures(e: Term) -> Measures:
             todo.extend(missing)
             continue
         todo.pop()
-        object.__setattr__(node, "_sm", _combine(node))
-    return getattr(e, "_sm")
+        node._sm = _combine(node)
+    return e._sm
 
 
 def _combine(e: Term) -> Measures:

@@ -1,8 +1,10 @@
 """Abstract syntax shared by every other module.
 
 Terms, types, cast annotations, coercions and the structural measures
-(substitution, alpha-equivalence, type extraction).  All values are
-immutable after construction and safe to share between threads.
+(substitution, alpha-equivalence, type extraction).  Nodes are dataclasses
+equal by identity, and no code assigns a field after construction: the only
+attributes set later are caches, each a function of the fields (`_fv`, `_canon`,
+`_tkeys`, `_unrolled`, `_plan`, `_sm`, `_value_<mode>`); `test_syntax` checks.
 
 Term shape is written down once, here: `children(e)` lists a term node's
 immediate subterms, `with_child(e, i, c)` rebuilds e with c as its i-th
@@ -109,7 +111,7 @@ class Status(enum.Enum):
 # Types
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Refinement:
     """{binder : base | predicate} -- constants of `base` satisfying the predicate."""
 
@@ -118,7 +120,7 @@ class Refinement:
     predicate: "Term"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Fun:
     dom: "Type"
     cod: "Type"
@@ -140,7 +142,7 @@ def is_raw(t: Type) -> bool:
 # Annotations and coercions
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class EmptyAnn:
     """The bullet annotation carried by every source-program cast."""
 
@@ -148,7 +150,7 @@ class EmptyAnn:
 EMPTY_ANN = EmptyAnn()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class RefEntry:
     """One labeled refinement in a refinement list."""
 
@@ -156,12 +158,12 @@ class RefEntry:
     label: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Refs:
     entries: tuple[RefEntry, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class FunC:
     dom: "Coercion"
     cod: "Coercion"
@@ -170,7 +172,7 @@ class FunC:
 Coercion = Union[Refs, FunC]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Types:
     """Heedful annotation: the set of intermediate types a cast remembers,
     one member per alpha-equivalence class, in `canon` order."""
@@ -195,12 +197,12 @@ Annotation = Union[EmptyAnn, Types, Refs, FunC]
 # Terms
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Var:
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Const:
     value: Union[bool, int]
 
@@ -209,26 +211,26 @@ class Const:
         return BaseType.BOOL if isinstance(self.value, bool) else BaseType.INT
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Abs:
     binder: str
     annot: Type
     body: "Term"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class App:
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Op:
     name: str
     args: tuple["Term", ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Cast:
     src: Type
     ann: Annotation
@@ -237,7 +239,7 @@ class Cast:
     subject: "Term"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ActiveCheck:
     """In-flight predicate evaluation: <target, current, scrutinee>^label."""
 
@@ -247,12 +249,12 @@ class ActiveCheck:
     label: Label
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Blame:
     label: Label
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class CoercionStack:
     """Eidetic runtime form draining a refinement list against a constant."""
 
@@ -263,14 +265,14 @@ class CoercionStack:
     current: "Term"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Cond:
     guard: "Term"
     then: "Term"
     orelse: "Term"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Fix:
     binder: str
     annot: Type
@@ -463,11 +465,6 @@ def map_parts(node: Node, f, last) -> Node:
 # Free variables
 
 
-def _cache(node, attr: str, value):
-    object.__setattr__(node, attr, value)
-    return value
-
-
 _NO_VARS: frozenset[str] = frozenset()
 
 
@@ -496,7 +493,8 @@ def free_vars(node: Node) -> frozenset[str]:
             part_fv = free_vars(part)
             if part_fv:
                 fv = fv | part_fv if fv else part_fv
-    return _cache(node, "_fv", fv)
+    node._fv = fv
+    return fv
 
 
 def fresh_name(base: str, avoid: frozenset[str], counter: Iterator[int]) -> str:
@@ -547,7 +545,7 @@ def unroll(e: Fix) -> Term:
     cached = getattr(e, "_unrolled", None)
     if cached is not None:
         return cached
-    body = _cache(e, "_unrolled", subst(e.body, e.binder, e))
+    body = e._unrolled = subst(e.body, e.binder, e)
     lambdas, todo = [], [body]
     while todo:  # pre-order, not into a Fix: the one put in, or one that plans its own body
         node = todo.pop()
@@ -557,7 +555,7 @@ def unroll(e: Fix) -> Term:
             todo.extend(children(node))
     for node in reversed(lambdas):  # inner lambdas first: a plan hands theirs on
         if not hasattr(node, "_plan"):
-            _cache(node, "_plan", _planned(node.body, node.binder))
+            node._plan = _planned(node.body, node.binder)
     return body
 
 
@@ -593,11 +591,11 @@ def _planned(e: Term, x: str):
     def run(n, v):
         out = build(n, v)
         fv, sm = n._fv, getattr(n, "_sm", None)
-        object.__setattr__(out, "_fv", fv - gone if len(fv) > 1 else _NO_VARS)
+        out._fv = fv - gone if len(fv) > 1 else _NO_VARS
         if sm is not None:
-            object.__setattr__(out, "_sm", sm)
+            out._sm = sm
         if inner is not None:
-            object.__setattr__(out, "_plan", inner)
+            out._plan = inner
         return out
 
     return run
@@ -615,7 +613,8 @@ def canon(node: Node) -> str:
         return cached
     out: list[str] = []
     _canon_into(node, {}, 0, out)
-    return _cache(node, "_canon", "".join(out))
+    key = node._canon = "".join(out)
+    return key
 
 
 def _canon_into(node: Node, env: dict[str, int], depth: int, out: list[str]) -> None:
@@ -757,4 +756,5 @@ def type_keys(node: Node) -> frozenset[str]:
                 whole, alone = held_types(e)
                 todo += whole
                 found.update(map(canon, alone))
-    return _cache(node, "_tkeys", frozenset(found))
+    keys = node._tkeys = frozenset(found)
+    return keys

@@ -10,11 +10,11 @@ A `Checker` has one discipline, runtime or `source`, read by every rule; a
 source checker types refinement predicates with a runtime twin, since the
 predicate `x mod 2 = 0` checks `2` against `mod`'s nonzero divisor by replay.
 
-Memoization.  Nodes are immutable and compared by identity, so a verdict
-about a node holds for as long as the node exists.  `infer` and `check`
-are the memoised entry points: each `Checker` keeps its successful
-judgments in one memo it owns (never in node attributes), a dict from a
-node, by identity, to the judgments about it, which are
+Memoization.  Nodes keep their fields (see `syntax`) and are compared by
+identity, so a verdict about a node holds for as long as the node exists.
+`infer` and `check` are the memoised entry points: each `Checker` keeps its
+successful judgments in one memo it owns (never in node attributes), a dict
+from a node, by identity, to the judgments about it, which are
 
 - for a type node: `wf_type` succeeded on it;
 - for a closed term (one checked under the empty environment): the type

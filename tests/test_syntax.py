@@ -1,13 +1,16 @@
 import dataclasses
 import typing
 
+import pytest
+
 from conftest import EXAMPLES, load_example, uncached
 from lh import syntax
-from lh.harness import gen_source
-from lh.metering import measures, space_stats
-from lh.semantics import machine
+from lh.harness import check_trace, diff_modes, gen_source
+from lh.metering import eval_metered, measures, space_stats
+from lh.semantics import OutcomeKind, machine
 from lh.surface import parse, parse_type, print_term
 from lh.syntax import (
+    ALL_MODES,
     Abs,
     App,
     BaseType,
@@ -37,6 +40,7 @@ from lh.syntax import (
     unroll,
     with_child,
 )
+from lh.typecheck import check_source
 
 RAW_INT = raw(BaseType.INT)
 NODE_CLASSES = typing.get_args(Node)
@@ -377,3 +381,57 @@ def test_a_plan_that_skips_an_occurrence_fails_the_plan_check(monkeypatch):
     monkeypatch.setattr(syntax, "_planned", skipping)
     _, findings = _plan_findings()
     assert skipped and findings
+
+
+# ---------------------------------------------------------------------------
+# Node classes are plain dataclasses: only the convention checked here keeps a
+# node's fields fixed, and the memos keyed by node rely on identity equality
+
+SYNTAX_CLASSES = [c for c in vars(syntax).values() if isinstance(c, type) and dataclasses.is_dataclass(c)]
+
+
+def test_no_node_field_is_assigned_after_construction(monkeypatch):
+    # the guard fails a write to a field already set; caches (`_fv`, `_sm`,
+    # `_plan`, ...) are not fields.  It runs over the examples, the two tail
+    # loops at n = 20 and 20 generated programs, through every front end and
+    # every way the machine runs, in all four modes
+    writes = []
+
+    def guarded(node, name, value):
+        if name in node.__dataclass_fields__ and name in node.__dict__:
+            writes.append(f"{type(node).__name__}.{name}")
+            raise AttributeError(f"{writes[-1]} assigned after construction")
+        object.__setattr__(node, name, value)
+
+    for cls in SYNTAX_CLASSES:
+        monkeypatch.setattr(cls, "__setattr__", guarded)
+    with pytest.raises(AttributeError):
+        Const(1).value = 2
+    assert writes == ["Const.value"]
+    writes.clear()
+
+    examples = {path.name: parse(path.read_text()) for path in sorted(EXAMPLES.glob("*.lh"))}
+    loop = examples["proxy_loop.lh"]  # 20 iterations, like the tail loops, not its 1000 (2 s)
+    examples["proxy_loop.lh"] = App(App(loop.fn.fn, Const(20)), loop.arg)
+    programs = [*examples.values(), *map(parse, PLANNED_SOURCES[:2])] + [gen_source(s, 5 + s % 26) for s in range(20)]
+    for e in programs:
+        check_source(e)
+        canon(e)
+        print_term(e)
+        for mode in ALL_MODES:
+            machine(mode).eval(e, 100_000)
+            eval_metered(mode, e, 100_000, series=True)
+            out = machine(mode).eval(e, 100_000, trace=True)
+            assert out.kind is not OutcomeKind.BUDGET
+            assert check_trace(mode, out.trace_terms()) == []
+        diff_modes(e)
+    assert writes == []
+
+
+def test_nodes_compare_and_hash_by_identity():
+    # typecheck.Checker._memo and harness._LiveNodes.table key nodes by
+    # object: value equality would merge the entries of equal nodes
+    for cls in SYNTAX_CLASSES:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls.__name__
+    a, b = Const(1), Const(1)
+    assert alpha_eq(a, b) and len({a: "a", b: "b"}) == 2
