@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import semantics
-from .semantics import Frame, Outcome, OutcomeKind, TraceTerms
+from .semantics import Frame, Outcome, OutcomeKind, TraceTerms, plug
 from .surface import parse_type, print_term
 from .syntax import (
     ALL_MODES,
     Abs,
     App,
     BaseType,
+    Blame,
     Cast,
     Cond,
     Const,
@@ -45,7 +46,7 @@ from .syntax import (
     subterms,
     type_keys,
 )
-from .typecheck import REPLAYING, Checker, TypeCheckError, check_source
+from .typecheck import REPLAYING, Checker, Memo, TypeCheckError, check_source
 
 # ---------------------------------------------------------------------------
 # Named types used throughout generation
@@ -295,14 +296,20 @@ def judge(e: Term, outcomes: dict[Mode, Outcome]) -> DiffReport:
 
 def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     """Findings for preservation and type monotonicity along an evaluation
-    trace (first element is the initial term).
+    trace (first element is the initial term): those of checking each term
+    whole against the initial term's type and comparing its type keys with
+    the previous term's.
 
     Each term is a step, frames (`semantics.Frame`) around a focus: the
-    machine's own for `Outcome.trace_terms()` (`TraceTerms.contexts`), so a
-    step costs time in proportion to the frames it popped and pushed and the
-    nodes it made, not to its depth; for any other iterable, no frames.
-    `_LiveNodes` counts the type keys of two steps' nodes, so types grew when
-    a step raised a key's count from zero, and carries judgments along."""
+    machine's own for `Outcome.trace_terms()` (`TraceTerms.contexts`), else
+    none.  Below the frames two steps share, by identity, their parts are
+    walked down together with `rebuilt_at` to the deepest pair that differs.
+    After an accepted term, by replacement, only that pair's new part is
+    checked, where `_checks_in_place` says; else, or if it fails, the whole
+    term, so every failure is the whole-term check's.  Types grew only if
+    the new part has a key the old part lacks and the whole terms compare
+    so.  A step costs time in proportion to the frames it popped and pushed
+    and the nodes it made, not to its depth."""
 
     steps = terms.contexts() if isinstance(terms, TraceTerms) else ((None, t) for t in terms)
     first = next(steps, None)
@@ -314,220 +321,106 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     except TypeCheckError as exc:
         return [f"step 0: initial term does not typecheck: {exc}"]
     findings: list[str] = []
-    live = _LiveNodes(checker)
-    for i, (ctx, focus) in enumerate(itertools.chain((first,), steps)):
-        grew = live.step(ctx, focus)
-        if (failure := live.check(ty)) is not None:
-            findings.append(f"step {i}: preservation failure: {failure}")
-        if i and grew:
+    keys = Memo()  # term node -> its type keys
+    depth: dict[Frame, int] = {}  # the previous step's frames, the outermost at 0
+    clear = 0  # how many outermost frames have no replaying form at or above them
+    last, focus = first  # no frames
+    accepted = False
+    for i, (ctx, now) in enumerate(itertools.chain((first,), steps)):
+        pushed, kept = [], ctx
+        while kept is not None and kept not in depth:
+            pushed.append(kept)
+            kept = kept.rest
+        old_top, new_top = plug(last, focus, kept), plug(ctx, now, kept)
+        while last is not kept:
+            del depth[last]
+            last = last.rest
+        clear = min(clear, len(depth))
+        for frame in reversed(pushed):
+            if clear == len(depth) and type(frame.orig) not in REPLAYING:
+                clear += 1
+            depth[frame] = len(depth)
+        last, focus = ctx, now
+
+        spine = []  # (node, i) per new node rebuilt at its i-th child, from the top
+        old, new = old_top, new_top
+        while (moved := rebuilt_at(old, new)) is not None:
+            spine.append((new, moved[0]))
+            old, new = children(old)[moved[0]], moved[1]
+
+        if not (accepted and _checks_in_place(checker, spine, new, kept, depth, clear)):
+            try:
+                checker.check({}, plug(kept, new_top), ty)
+                accepted = True
+            except TypeCheckError as exc:
+                findings.append(f"step {i}: preservation failure: {exc}")
+                accepted = False
+        if (
+            (grown := _type_keys(keys, new))
+            and not grown <= _type_keys(keys, old)
+            and not _type_keys(keys, plug(kept, new_top)) <= _type_keys(keys, plug(kept, old_top))
+        ):
             findings.append(f"step {i}: types grew along the trace")
-    checker.forget([level.node for level in live.levels])
     return findings
 
 
-class _Level:
-    """A frame of the current step, as the node it holds: that node's
-    children and held types, a built copy of it whose judgments hold for it
-    (the copy's child may be older), and whether a level above replays it."""
+def _checks_in_place(checker: Checker, spine: list, kid: Term, frame: Optional[Frame], depth: dict, clear: int) -> bool:
+    """Whether the new term checks, by its changed child kid at the nearest
+    position above it (on the spine, then in the kept frames from frame out)
+    whose rule checks that child against one type (`Checker._child_type`),
+    with no replaying form at or above; False if none is or kid fails there."""
 
-    __slots__ = ("frame", "node", "kids", "held", "replayed")
-
-    def __init__(self, frame: Frame, node: Term):
-        self.frame, self.node = frame, node
-
-
-class _LiveNodes:
-    """The nodes of at most two steps: the current step's frames as `levels`
-    (`at` gives a frame's position), and every other node in `table`, by
-    identity, as `[count, children, held types]`, counting its parent edges
-    from live nodes and levels plus the steps focused on it.  `holders`
-    counts the nodes and levels holding each type object, and `keys` the
-    type objects and refinement-list entries per type key."""
-
-    def __init__(self, checker: Checker):
-        self.checker = checker
-        self.table: dict[Term, list] = {}
-        self.holders: dict[Type, int] = {}
-        self.keys: dict[str, int] = {}
-        self.levels: list[_Level] = []
-        self.at: dict[Frame, int] = {}
-        self.focus: Optional[Term] = None
-        self.carried = False  # the judgments reached the root
-
-    def step(self, ctx, focus: Term) -> bool:
-        """Move on to the step ctx around focus; True if a type key that the
-        previous step's nodes lacked appeared.  Frames that stay cost nothing.
-        Below them, the two steps are built as reading them back would build
-        them and walked down together: a node that is its counterpart rebuilt
-        at one child (`rebuilt_at`) takes over its kids, held types and
-        judgments; the rest are read with `children` and `held_types`."""
-
-        levels, at, table = self.levels, self.at, self.table
-        frames = []
-        while ctx is not None and ctx not in at:
-            frames.append(ctx)
-            ctx = ctx.rest
-        keep = 0 if ctx is None else at[ctx] + 1
-        popped, prev = levels[keep:], self.focus
-        del levels[keep:]
-        old, sources = prev, {}
-        for level in reversed(popped):
-            old = level.frame.rebuild(old)
-            sources[old] = level
-        new, fresh = focus, {}
-        for frame in frames:
-            new = frame.rebuild(new)
-            fresh[new] = _Level(frame, new)
-
-        spine = []  # (old, new, i) per node rebuilt at one child, from the top
-        while prev is not None and new is not old and new not in table:
-            moved = rebuilt_at(old, new)
-            if moved is None:
-                break
-            i, kid = moved
-            source = sources.get(old)
-            kids, held = (children(old), source.held) if source else table[old][1:]
-            self.hold(held)  # the counterpart holds them: no key is new
-            for k, sibling in enumerate(kids):
-                if k != i:
-                    table[sibling][0] += 1
-            if (level := fresh.get(new)) is not None:
-                level.kids, level.held = kids, held
-            else:
-                table[new] = [1, kids[:i] + (kid,) + kids[i + 1 :], held]
-            spine.append((source.node if source else old, new, i))
-            old, new = kids[i], kid
-
-        grew, todo = False, [new]
-        while todo:
-            node = todo.pop()
-            if (entry := table.get(node)) is not None:
-                entry[0] += 1
-                continue
-            kids, held = children(node), held_types(node)
-            todo += kids
-            if held[0]:
-                grew = self.hold(held) or grew
-            if (level := fresh.get(node)) is not None:
-                level.kids, level.held = kids, held
-            else:
-                table[node] = [1, kids, held]
-
-        for level in reversed(fresh.values()):
-            up = levels[-1] if levels else None
-            level.replayed = up is not None and (up.replayed or type(up.frame.orig) in REPLAYING)
-            at[level.frame] = len(levels)
-            levels.append(level)
-        self.focus = focus
-        try:
-            self.carried = self._carry(spine, new, keep)
-        except TypeCheckError:
-            self.carried = False
-        if prev is not None:
-            self._leave(popped, prev)
-        return grew
-
-    def _carry(self, spine: list, kid: Term, keep: int) -> bool:
-        """Carry judgments up the rebuilt nodes, then up the first keep levels
-        until one keeps its judgments and no level above replays it.  A node
-        whose counterpart has none gets none: only a rule that replays it
-        reads it, or the carry above types it anew."""
-
-        checker, levels = self.checker, self.levels
-        for old, new, i in reversed(spine):
-            checker.carry(old, i, kid, new)
-            kid = new
-        for k in range(keep - 1, -1, -1):
-            level = levels[k]
-            old, i = level.node, level.frame.index
-            if (same := checker.carry(old, i, kid)) and not level.replayed:
+    try:
+        top = next((j for j, (node, _) in enumerate(spine) if type(node) in REPLAYING), len(spine))
+        if frame is not None and depth[frame] >= clear:
+            top = 0  # a kept frame replays the whole spine
+        if top < len(spine):
+            kid = spine[top][0]
+        for node, i in reversed(spine[:top]):
+            if (t := checker._child_type(node, i)) is not None:
+                checker.check({}, kid, t)
                 return True
-            node = level.frame.rebuild(kid)
-            if same is not None:
-                same = checker.carry(old, i, kid, node)
-            checker.forget((old,))
-            level.node = kid = node
-            if same and not level.replayed:
+            kid = node
+        while frame is not None:
+            if depth[frame] < clear and (t := checker._child_type(frame.orig, frame.index)) is not None:
+                checker.check({}, kid, t)
                 return True
-        return True
-
-    def check(self, ty: Type) -> Optional[TypeCheckError]:
-        """The error the whole-term check raises, if any.  Unless the carry
-        put ty at the root, the term is built and checked top down, and its
-        nodes become the levels' nodes."""
-
-        levels, checker = self.levels, self.checker
-        if self.carried and checker.knows(levels[0].node if levels else self.focus, ty):
-            return None
-        node = self.focus
-        for level in reversed(levels):
-            checker.forget((level.node,))
-            node = level.node = level.frame.rebuild(node)
-        try:
-            checker.check({}, node, ty)
-        except TypeCheckError as exc:
-            return exc
-        return None
-
-    def _leave(self, popped: list[_Level], prev: Term) -> None:
-        """Count the previous step less, and forget every node that no live
-        node or level refers to any more."""
-
-        todo, dropped, table = [prev], [level.node for level in popped], self.table
-        for level in popped:
-            del self.at[level.frame]
-            self.release(level.held)
-            i = level.frame.index
-            todo += level.kids[:i] + level.kids[i + 1 :]
-        while todo:
-            entry = table[node := todo.pop()]
-            entry[0] -= 1
-            if not entry[0]:
-                del table[node]
-                dropped.append(node)
-                todo += entry[1]
-                if entry[2][0]:
-                    self.release(entry[2])
-        self.checker.forget(dropped)
-
-    def hold(self, held: tuple) -> bool:
-        """Count held types once more; True if a type key had no count."""
-
-        grew = False
-        for t in held[0]:
-            self.holders[t] = n = self.holders.get(t, 0) + 1
-            if n == 1:
-                for key in type_keys(t):
-                    grew = _acquire(self.keys, key) or grew
-        for ref in held[1]:
-            grew = _acquire(self.keys, canon(ref)) or grew
-        return grew
-
-    def release(self, held: tuple) -> None:
-        for t in held[0]:
-            if n := self.holders.pop(t) - 1:
-                self.holders[t] = n
-            else:
-                for key in type_keys(t):
-                    _release(self.keys, key)
-        for ref in held[1]:
-            _release(self.keys, canon(ref))
+            kid, frame = frame.rebuild(kid), frame.rest
+    except TypeCheckError:
+        pass
+    return False
 
 
-def _acquire(counts: dict, key) -> bool:
-    """Count key once more; True if it had no count."""
-
-    n = counts.get(key, 0)
-    counts[key] = n + 1
-    return not n
+_LEAVES = (Const, Var, Blame)  # no children and no held types
 
 
-def _release(counts: dict, key) -> None:
-    n = counts[key] - 1
-    if n:
-        counts[key] = n
-    else:
-        del counts[key]
+def _type_keys(memo: Memo, node: Term) -> frozenset[str]:
+    """`type_keys` of a term, kept in memo (never on the nodes) for every
+    node it walks but leaves, and computed on an explicit stack."""
+
+    if type(node) in _LEAVES:
+        return frozenset()
+    if (keys := memo.get(node)) is not None:
+        return keys
+    found: dict[Term, frozenset[str]] = {}
+    todo = [node]
+    while todo:
+        n = todo[-1]
+        if n in found:
+            todo.pop()
+            continue
+        kids = children(n)
+        for kid in kids:
+            if kid not in found and (keys := frozenset() if type(kid) in _LEAVES else memo.get(kid)) is not None:
+                found[kid] = keys
+        if waiting := [kid for kid in kids if kid not in found]:
+            todo += waiting
+            continue
+        todo.pop()
+        whole, alone = held_types(n)
+        keys = found[n] = frozenset(set(map(canon, alone)).union(*map(found.get, kids), *map(type_keys, whole)))
+        memo.put(n, keys)
+    return found[node]
 
 
 # ---------------------------------------------------------------------------

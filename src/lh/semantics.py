@@ -27,9 +27,9 @@ other, depends on the term only up to alpha-equivalence.
 `E-Fix` unrolls a `Fix` once (`syntax.unroll`): the body is cached on the
 node, and each iteration of a loop steps to the same body.  Substitution is a
 function of its arguments, so the body depends on the node alone, not on the
-mode, and what the meter and the trace checker cache on its nodes depends on
-those nodes alone.  `E-Beta` of a constant runs the lambda's plan from that
-body (`syntax.unroll`), if any.
+mode, and what the meter caches on its nodes depends on those nodes alone.
+`E-Beta` of a constant runs the lambda's plan from that body
+(`syntax.unroll`), if any.
 
 A traced run records one `TraceStep` per step, holding the rule, and the
 context and focus just after the step: O(1) work and memory per step, as
@@ -39,7 +39,7 @@ O(depth), and gives the same term, with the same shared nodes, as rebuilding
 it at the step would.
 `Outcome.trace_terms()` is a read-only sequence over those terms that builds
 one only when it is read; `harness.check_trace` reads its contexts and foci
-(`TraceTerms.contexts`) and builds none.
+(`TraceTerms.contexts`) instead, and builds only what a step changed.
 
 An observer passed to `Machine.eval` sees every transition as four events:
 `start(root)` once; `push(frame, child)` after descending from the frame's
@@ -357,11 +357,7 @@ class TraceStep:
 
     @property
     def term(self) -> Term:
-        whole, ctx = self._focus, self._ctx
-        while ctx is not None:
-            whole = ctx.rebuild(whole)
-            ctx = ctx.rest
-        return whole
+        return plug(self._ctx, self._focus)
 
     def __repr__(self) -> str:
         return f"TraceStep(rule={self.rule!r}, term={self.term!r})"
@@ -429,6 +425,15 @@ class Frame:
 # is updated in place, so a context recorded in a trace stays valid while the
 # machine runs on.
 Context = Optional[Frame]
+
+
+def plug(ctx: Context, focus: Term, upto: Context = None) -> Term:
+    """focus rebuilt through the frames of ctx, innermost first, up to upto."""
+
+    while ctx is not upto:
+        focus = ctx.rebuild(focus)
+        ctx = ctx.rest
+    return focus
 
 
 # Local decisions, shared by the reference stepper and the machine.  A

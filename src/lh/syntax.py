@@ -31,9 +31,9 @@ since its strings fix the order of a heedful type set (`Types`), the order
 `type_keys` only on the node it is asked about, that is on shared type nodes
 and on the root of a term.  Keys cached on every term node of every trace
 raised the peak memory of the trace-check benchmark from 39 MB to 55-70 MB
-(10 s runs, Python 3.11).  `harness.check_trace` does not call `type_keys`
-on whole terms: it asks only for the keys of the type nodes that the nodes
-of each term hold.
+(10 s runs, Python 3.11).  `harness.check_trace` keeps the keys of the term
+nodes it walks in a bounded memo of its own, and asks `type_keys` only for
+the type nodes they hold.
 
 `subst` is textbook capture-avoiding substitution on the part map: it
 rebuilds the nodes on the paths to x, renames a binder free in v apart with

@@ -13,8 +13,8 @@ predicate `x mod 2 = 0` checks `2` against `mod`'s nonzero divisor by replay.
 Memoization.  Nodes keep their fields (see `syntax`) and are compared by
 identity, so a verdict about a node holds for as long as the node exists.
 `infer` and `check` are the memoised entry points: each `Checker` keeps its
-successful judgments in one memo it owns (never in node attributes), a dict
-from a node, by identity, to the judgments about it, which are
+successful judgments in one `Memo` it owns (never in node attributes), from
+a node, by identity, to the judgments about it, which are
 
 - for a type node: `wf_type` succeeded on it;
 - for a closed term (one checked under the empty environment): the type
@@ -22,23 +22,15 @@ from a node, by identity, to the judgments about it, which are
   that `check` succeeded.
 
 Failures are never stored, so every error is raised again, with the same
-kind, path and message, by the same rules.  The memo has no generations: a
-checker keeps a node's judgments until `forget` drops them.
-`harness.check_trace` forgets each term node when it leaves the last two
-trace terms, so the memo holds about two terms' worth of term nodes (plus
-the type nodes checked well formed) and a node that a step did not rebuild
-is never checked again.
-
-A step rebuilds each node from the root to its focus at one child, and
-`carry` gives such a node the judgments of the node it rebuilds.  They are
-copied where every rule only checks that child against a type the other
-parts fix (`_child_type`: a cast's subject, an operator argument, an
-application's argument unless the function is blame), once the new child
-passes; elsewhere (an application's function, a guard or branch, children
-of runtime forms, binder bodies) the node's rule is rerun against each type
-the old node had.  `harness.check_trace` carries bottom-up and stops where a
-node's judgments come out unchanged, unless a form above replays it
-(`REPLAYING`); the check of the whole term then hits the memo at the root.
+kind, path and message, by the same rules.  The memo bounds itself with two
+generations of at most `MEMO_LIMIT` nodes each: a node read from the older
+one moves into the newer one, and a full newer one becomes the older one,
+dropping what the older one held.  A node in use, such as the unrolled body
+of a loop that every iteration applies, stays; a node no judgment reads any
+more ages out, so the memo holds at most `2 * MEMO_LIMIT` nodes (and the
+terms below them) however long a trace `harness.check_trace` checks.  A
+chain of casts whose types aged out is inferred again deepest first
+(`_infer_below`), so a classic proxy chain is typed without recursing.
 
 One replay answers both runtime questions about predicates: does a
 predicate instance step to `true` (a premise), and does an active check's
@@ -52,7 +44,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .semantics import (
     ANNOTATIONS, DEFAULT_ORACLE, FOREIGN_ANNOTATION, OPS, ImplicationOracle, IsBlame, Machine, Stepped, implies
@@ -161,6 +153,32 @@ _CHECKING_FORMS = (Const, Blame, Abs, Cond, App)
 REPLAYING = (ActiveCheck, CoercionStack)
 
 
+# nodes per generation of a `Memo`: checking the classic value loop at
+# n = 2000 peaks at 0.7 MB of tracemalloc with it, and no loop iteration of
+# the examples judges as many nodes, so none checks its unrolled body twice
+MEMO_LIMIT = 256
+
+
+class Memo:
+    """A map from nodes, by identity, to values, in two generations (see Memoization)."""
+
+    __slots__ = ("new", "old")
+
+    def __init__(self):
+        self.new, self.old = {}, {}
+
+    def get(self, node):
+        value = self.new.get(node)
+        if value is None and (value := self.old.pop(node, None)) is not None:
+            self.put(node, value)
+        return value
+
+    def put(self, node, value) -> None:
+        if len(self.new) >= MEMO_LIMIT:
+            self.old, self.new = self.new, {}
+        self.new[node] = value
+
+
 def _remember(cache: dict, key: tuple, verdict: Union[bool, str]) -> None:
     if len(cache) >= VERDICT_CACHE_LIMIT:
         del cache[next(iter(cache))]  # dicts keep insertion order: oldest first
@@ -174,23 +192,16 @@ class Checker:
     oracle: ImplicationOracle = DEFAULT_ORACLE
     budget: int = PREDICATE_BUDGET
     # node -> {judgment key: result}, for the successful judgments only
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # types refinement predicates: self, or a source checker's runtime twin
         self._runtime = Checker(self.mode, False, self.oracle, self.budget) if self.source else self
 
-    def forget(self, nodes: Iterable[Union[Term, Type]]) -> None:
-        """Drop every judgment about these nodes."""
-
-        pop = self._memo.pop
-        for node in nodes:
-            pop(node, None)
-
     def _note(self, node, key, result) -> None:
         facts = self._memo.get(node)
         if facts is None:
-            self._memo[node] = {key: result}
+            self._memo.put(node, {key: result})
         else:
             facts[key] = result
 
@@ -295,6 +306,8 @@ class Checker:
             t = facts.get(_INFERRED)
             if t is not None:
                 return t
+        if type(e) is Cast:
+            self._infer_below(e)
         t = self._infer_rule(env, e, path)
         self._note(e, _INFERRED, t)
         return t
@@ -361,6 +374,19 @@ class Checker:
                 raise TypeCheckError(SOURCE_VIOLATION, path, "coercion stacks are runtime-only forms")
             return self._infer_stack(e, path)
         raise TypeCheckError(ILL_FORMED_TYPE, path, f"unknown term {type(e).__name__}")
+
+    def _infer_below(self, e: Cast) -> None:
+        """Infer the casts below e whose types are not in the memo, deepest first,
+        without recursing; an error is left for e's own rule to raise, with its path."""
+
+        chain = []
+        while type(e := e.subject) is Cast and _INFERRED not in (self._memo.get(e) or ()):
+            chain.append(e)
+        try:
+            for cast in reversed(chain):
+                self.infer({}, cast)
+        except TypeCheckError:
+            pass
 
     def _check_guard(self, env: Mapping[str, Type], guard: Term, path: str) -> None:
         if isinstance(guard, Blame) and not self.source:
@@ -441,38 +467,12 @@ class Checker:
         fn_t = self.infer({}, e.fn)
         return fn_t.dom if type(fn_t) is Fun else None
 
-    def carry(self, old: Term, i: int, kid: Term, new: Optional[Term] = None) -> Optional[bool]:
-        """Give new, old with kid for its i-th child, old's judgments: copied
-        once kid passes where every rule only checks that child against one
-        type (`_child_type`), else by rerunning new's rule against each type
-        old was checked against.  None if old has none; else whether new has
-        old's judgments, known without new only where they would be copied.
-        A failed check raises."""
-
-        facts = self._memo.get(old)
-        if facts is None:
-            return None
-        t = self._child_type(old, i)
-        if t is not None:
-            self.check({}, kid, t)
-            if new is not None:
-                self._memo[new] = facts.copy()
-            return True
-        if new is None:
-            return False
-        for t in [t for t in facts if t is not _INFERRED]:
-            self.check({}, new, t)
-        return facts.items() <= self._memo.get(new, {}).items()
-
-    def knows(self, e: Term, t: Type) -> bool:
-        """Whether e is known to check against t."""
-
-        return t in self._memo.get(e, ())
-
     # -- runtime forms
 
     def _infer_check_form(self, e: ActiveCheck, path: str) -> Type:
         self.wf_type(e.tgt, path + "/tgt")
+        if type(e.scrutinee) is not Const:
+            raise TypeCheckError(NOT_SIMILAR, path, "active-check scrutinee is not a constant")
         if e.scrutinee.base is not e.tgt.base:
             raise TypeCheckError(NOT_SIMILAR, path, "active-check scrutinee at the wrong base type")
         start = subst(e.tgt.predicate, e.tgt.binder, e.scrutinee)
@@ -482,13 +482,15 @@ class Checker:
 
     def _infer_stack(self, e: CoercionStack, path: str) -> Type:
         self.wf_type(e.tgt, path + "/tgt")
+        if type(e.scrutinee) is not Const:
+            raise TypeCheckError(NOT_SIMILAR, path, "stack scrutinee is not a constant")
         if e.scrutinee.base is not e.tgt.base:
             raise TypeCheckError(NOT_SIMILAR, path, "stack scrutinee at the wrong base type")
         self._wf_reflist(e.pending, e.tgt.base, path, "stack")
         if isinstance(e.current, Blame):
             pass  # a failed inner check raises out of the stack on the next step
         elif isinstance(e.current, ActiveCheck):
-            if e.current.scrutinee.value != e.scrutinee.value:
+            if type(e.current.scrutinee) is not Const or e.current.scrutinee.value != e.scrutinee.value:
                 raise TypeCheckError(NOT_SIMILAR, path, "stack check on a different scrutinee")
             self._infer_check_form(e.current, path + "/current")
         elif not (isinstance(e.current, Const) and e.current.value == e.scrutinee.value):

@@ -6,7 +6,7 @@ import pytest
 
 from coercions import assoc_counterexamples, coercion_eq, gen_coercion, gen_reflist
 from conftest import load_example
-from lh import eval_term, harness
+from lh import eval_term, harness, typecheck
 from lh.harness import (
     ANY,
     NAT,
@@ -37,7 +37,7 @@ from lh.syntax import (
     type_keys,
     with_child,
 )
-from lh.typecheck import Checker, TypeCheckError, check_source
+from lh.typecheck import MEMO_LIMIT, Checker, Memo, TypeCheckError, check_source
 
 
 def test_pool_types_read_as_they_do_inside_a_cast():
@@ -289,37 +289,35 @@ def _loop_trace(mode, n):
     return itertools.chain((out.initial,), (s.term for s in out.trace))
 
 
-@pytest.mark.parametrize("mode", [Mode.CLASSIC, Mode.EIDETIC])
-@pytest.mark.parametrize("program", ["fact.lh", "loop"])
-def test_check_trace_visits_each_node_once_and_keeps_two_terms(monkeypatch, mode, program):
-    term = load_example(program) if program.endswith(".lh") else parse(_LOOP_SRC + "loop 20 0")
-    out = eval_term(mode, term, 10_000, trace=True)
+def test_check_trace_memo_holds_at_most_two_generations(monkeypatch):
+    # the checker's judgments and the type keys of term nodes live in two
+    # memos of two generations each, however long and deep the trace
+    memos = []
+    init = Memo.__init__
+    monkeypatch.setattr(Memo, "__init__", lambda self: memos.append(self) or init(self))
+    assert check_trace(Mode.CLASSIC, _loop_trace(Mode.CLASSIC, 300)) == []
+    assert len(memos) == 2
+    for memo in memos:
+        assert memo.old and len(memo.old) <= MEMO_LIMIT and len(memo.new) <= MEMO_LIMIT
+
+
+def test_check_trace_findings_do_not_depend_on_memo_aging(monkeypatch):
+    # with two nodes per generation, judgments and type keys age out at
+    # nearly every step, and what is checked again must come out the same
+    traces = [(mode, terms, _reference_check_trace(mode, terms)) for mode, terms in _oracle_traces()]
+    monkeypatch.setattr(typecheck, "MEMO_LIMIT", 2)
+    for mode, terms, expected in traces:
+        assert check_trace(mode, terms) == expected, (mode, print_term(terms[0]))
+
+
+def test_check_trace_of_a_classic_proxy_chain_does_not_recurse():
+    # each call through the chain of 600 proxies peels one off, and the rest
+    # of the chain, whose judgments aged out of the memo long before, is
+    # typed again: recursively, that overflowed the default recursion limit
+    loop = load_example("proxy_loop.lh")
+    out = eval_term(Mode.CLASSIC, App(App(loop.fn.fn, Const(300)), loop.arg), 1_000_000, trace=True)
     assert out.kind is OutcomeKind.VALUE
-    terms = out.trace_terms()
-    # a node rebuilt at one child takes over its counterpart's held types
-    expected, before, prev = 0, set(), None
-    for t in terms:
-        now = {id(s) for s in subterms(t)}
-        rebuilt = {id(s) for s, _ in _rebuilt_spine(prev, t)}
-        expected += len(now - before - rebuilt)
-        before, prev = now, t
-
-    visits = []
-    held_types = harness.held_types
-    monkeypatch.setattr(harness, "held_types", lambda e: visits.append(e) or held_types(e))
-    checkers = []
-
-    class Recorded(Checker):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            checkers.append(self)
-
-    monkeypatch.setattr(harness, "Checker", Recorded)
-    assert check_trace(mode, terms) == []
-    assert len(visits) == expected
-    (checker,) = checkers
-    last = {id(s) for s in subterms(terms[-1])}
-    assert [n for n in checker._memo if not isinstance(n, (Refinement, Fun)) and id(n) not in last] == []
+    assert check_trace(Mode.CLASSIC, out.trace_terms()) == []
 
 
 def test_check_trace_of_a_deep_classic_loop_does_not_recurse():
@@ -346,28 +344,30 @@ def test_check_trace_rules_per_term_do_not_grow_with_depth(monkeypatch):
 
 def test_check_trace_work_per_step_does_not_grow_with_depth(monkeypatch):
     # counts, not timings, on the machine's own traces of the classic loop,
-    # whose context grows by one pending cast per iteration: nodes read with
-    # held_types plus frames and nodes compared or built, and judgments
-    # carried from one node to another
+    # whose context grows by one pending cast per iteration: frames rebuilt,
+    # pairs compared, positions asked for a child type, typing rules run and
+    # nodes whose held types the type-key walk reads
     outs = [eval_term(Mode.CLASSIC, parse(_LOOP_SRC + f"loop {n} 0"), 1_000_000, trace=True) for n in (25, 50)]
-    reads, carried = [], []
-    for owner, name, calls in (
-        (harness, "held_types", reads),
-        (harness, "rebuilt_at", reads),
-        (Frame, "rebuild", reads),
-        (Checker, "_child_type", carried),
-    ):
-        counted = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, counted=counted, calls=calls: calls.append(1) or counted(*a))
+    counted = (
+        (Frame, "rebuild"),
+        (harness, "rebuilt_at"),
+        (Checker, "_child_type"),
+        (Checker, "_infer_rule"),
+        (Checker, "_check_rule"),
+        (harness, "held_types"),
+    )
+    calls = {name: [] for _, name in counted}
+    for owner, name in counted:
+        call = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, call=call, seen=calls[name]: seen.append(1) or call(*a))
     per_term = []
     for out in outs:
-        reads.clear()
-        carried.clear()
+        for seen in calls.values():
+            seen.clear()
         terms = out.trace_terms()
         assert check_trace(Mode.CLASSIC, terms) == []
-        per_term.append((len(reads) / len(terms), len(carried) / len(terms)))
-    (reads_25, carried_25), (reads_50, carried_50) = per_term
-    assert abs(reads_50 - reads_25) <= 1 and abs(carried_50 - carried_25) <= 1, per_term
+        per_term.append({name: len(seen) / len(terms) for name, seen in calls.items()})
+    assert all(abs(per_term[1][name] - per_term[0][name]) <= 1 for name in calls), per_term
 
 
 def test_check_trace_catches_a_machine_that_rebuilds_wrongly(monkeypatch):
@@ -391,10 +391,29 @@ def test_check_trace_catches_a_machine_that_rebuilds_wrongly(monkeypatch):
     assert findings == check_trace(Mode.CLASSIC, list(out.trace_terms()))
 
 
+def test_check_trace_checks_above_a_form_that_replays_the_change():
+    # a predicate's sum stepped to the wrong number inside the active check,
+    # under frames pushed by the step (4) or kept from the one before (5):
+    # the number checks against the Int that + or <> expects, but the check's
+    # replay of (3 + 1) + 1 <> 0 never reaches it, so the step is checked
+    # above the active check
+    term = parse("<{x:Int|true} => {x:Int|(x + 1) + 1 <> 0} @ l> 3")
+    for mode in ALL_MODES:
+        out = eval_term(mode, term, 100, trace=True)
+        for value in (4, 5):
+            trace = list(out.trace)
+            j = next(j for j, step in enumerate(trace) if step.rule == "E-Op" and step._focus.value == value)
+            trace[j] = TraceStep(trace[j].rule, trace[j]._ctx, Const(value + 10))
+            terms = TraceTerms(out.initial, tuple(trace))
+            expected = _reference_check_trace(mode, list(terms))
+            assert f"step {j + 1}: preservation failure" in expected[0], (mode, expected)
+            assert check_trace(mode, terms) == check_trace(mode, list(terms)) == expected, (mode, value)
+
+
 def test_check_trace_checks_the_whole_term_below_frames_that_stay():
     # step 7 of the classic loop at n = 5 is an E-Op at depth 3; with a
-    # boolean for its result no judgment carries up, so the frames path
-    # rebuilds the term through the levels above it and checks it whole
+    # boolean for its result the check in place fails, so the frames path
+    # rebuilds the term through the frames above it and checks it whole
     out = eval_term(Mode.CLASSIC, parse(_LOOP_SRC + "loop 5 0"), 10_000, trace=True)
     trace = list(out.trace)
     step = trace[6]

@@ -429,8 +429,9 @@ def test_no_node_field_is_assigned_after_construction(monkeypatch):
 
 
 def test_nodes_compare_and_hash_by_identity():
-    # typecheck.Checker._memo and harness._LiveNodes.table key nodes by
-    # object: value equality would merge the entries of equal nodes
+    # typecheck.Memo, the checker's judgments and check_trace's type keys,
+    # keys nodes by object: value equality would merge the entries of equal
+    # nodes
     for cls in SYNTAX_CLASSES:
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls.__name__
     a, b = Const(1), Const(1)

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import load_example
+from lh.harness import check_trace
 from lh.surface import parse, parse_type
 from lh.syntax import (
     ALL_MODES,
@@ -8,15 +9,18 @@ from lh.syntax import (
     BaseType,
     Blame,
     Cast,
+    CoercionStack,
     Cond,
     Const,
     EMPTY_ANN,
     Fun,
     Mode,
+    Status,
     alpha_eq,
     raw,
 )
 from lh.typecheck import (
+    NOT_SIMILAR,
     Checker,
     TypeCheckError,
     check_source,
@@ -180,6 +184,32 @@ def test_corrupted_stack_rejected(e3):
     wrong2 = CoercionStack(stack.tgt, Status.CHECKED, (), Const(0), Const(0))
     with pytest.raises(TypeCheckError):
         Checker(Mode.EIDETIC).check({}, wrong2, NZ)
+
+
+def test_a_blame_scrutinee_is_not_similar():
+    # the rules of the runtime forms read a scrutinee as a constant: blame
+    # there raised AttributeError out of the checker and out of check_trace
+    def check_of(scrutinee):
+        return ActiveCheck(NZ, parse("3 <> 0"), scrutinee, "l13")
+
+    stack = CoercionStack(NZ, Status.CHECKED, (), Blame("lz"), check_of(Const(3)))
+    cases = (
+        (check_of(Blame("lz")), "active-check scrutinee is not a constant"),
+        (stack, "stack scrutinee is not a constant"),
+        (
+            CoercionStack(NZ, Status.CHECKED, (), Const(3), check_of(Blame("lz"))),
+            "stack check on a different scrutinee",
+        ),
+    )
+    for term, detail in cases:
+        for mode in ALL_MODES:
+            with pytest.raises(TypeCheckError) as info:
+                Checker(mode).infer({}, term)
+            assert (info.value.kind, info.value.detail) == (NOT_SIMILAR, detail)
+    cast = parse("<{x:Int|true} => {x:Int|x <> 0} @ l13> 3")
+    assert check_trace(Mode.EIDETIC, [cast, stack]) == [
+        "step 1: preservation failure: NotSimilar at <top>: stack scrutinee is not a constant"
+    ]
 
 
 def test_budget_order_does_not_change_the_verdict():
