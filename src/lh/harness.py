@@ -307,9 +307,11 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     After an accepted term, by replacement, only that pair's new part is
     checked, where `_checks_in_place` says; else, or if it fails, the whole
     term, so every failure is the whole-term check's.  Types grew only if
-    the new part has a key the old part lacks and the whole terms compare
-    so.  A step costs time in proportion to the frames it popped and pushed
-    and the nodes it made, not to its depth."""
+    the new part, when not a child of the old one, has a key the old part
+    lacks and the whole terms compare so; keys are bits of an `int`, given
+    out per call as they are first met.  A step costs time in proportion to
+    the frames it popped and pushed and the nodes it made, not to its
+    depth."""
 
     steps = terms.contexts() if isinstance(terms, TraceTerms) else ((None, t) for t in terms)
     first = next(steps, None)
@@ -321,7 +323,8 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     except TypeCheckError as exc:
         return [f"step 0: initial term does not typecheck: {exc}"]
     findings: list[str] = []
-    keys = Memo()  # term node -> its type keys
+    keys = _Bits()  # canonical type key -> its bit, numbered as first met
+    masks = Memo()  # term node or held type -> the mask of its type keys
     depth: dict[Frame, int] = {}  # the previous step's frames, the outermost at 0
     clear = 0  # how many outermost frames have no replaying form at or above them
     last, focus = first  # no frames
@@ -356,9 +359,10 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
                 findings.append(f"step {i}: preservation failure: {exc}")
                 accepted = False
         if (
-            (grown := _type_keys(keys, new))
-            and not grown <= _type_keys(keys, old)
-            and not _type_keys(keys, plug(kept, new_top)) <= _type_keys(keys, plug(kept, old_top))
+            new not in children(old)
+            and (grown := _type_keys(keys, masks, new))
+            and grown & ~_type_keys(keys, masks, old)
+            and _type_keys(keys, masks, plug(kept, new_top)) & ~_type_keys(keys, masks, plug(kept, old_top))
         ):
             findings.append(f"step {i}: types grew along the trace")
     return findings
@@ -394,32 +398,51 @@ def _checks_in_place(checker: Checker, spine: list, kid: Term, frame: Optional[F
 _LEAVES = (Const, Var, Blame)  # no children and no held types
 
 
-def _type_keys(memo: Memo, node: Term) -> frozenset[str]:
-    """`type_keys` of a term, kept in memo (never on the nodes) for every
-    node it walks but leaves, and computed on an explicit stack."""
+class _Bits(dict):
+    """A bit for each canonical type key, the next free one the first time it is asked for."""
+
+    def __missing__(self, key: str) -> int:
+        bit = self[key] = 1 << len(self)
+        return bit
+
+
+def _type_keys(keys: _Bits, memo: Memo, node: Term) -> int:
+    """`type_keys` of a term as a mask of keys' bits, kept in memo (never on
+    the nodes) for every node it walks but leaves and every type they hold,
+    and computed on an explicit stack."""
 
     if type(node) in _LEAVES:
-        return frozenset()
-    if (keys := memo.get(node)) is not None:
-        return keys
-    found: dict[Term, frozenset[str]] = {}
+        return 0
+    if (mask := memo.get(node)) is not None:
+        return mask
+    found: dict[Term, int] = {}
     todo = [node]
     while todo:
         n = todo[-1]
         if n in found:
             todo.pop()
             continue
-        kids = children(n)
-        for kid in kids:
-            if kid not in found and (keys := frozenset() if type(kid) in _LEAVES else memo.get(kid)) is not None:
-                found[kid] = keys
-        if waiting := [kid for kid in kids if kid not in found]:
-            todo += waiting
-            continue
+        mask = 0
+        for kid in children(n):
+            if (part := found.get(kid)) is None and (part := 0 if type(kid) in _LEAVES else memo.get(kid)) is None:
+                todo.append(kid)
+            else:
+                mask |= part
+        if todo[-1] is not n:
+            continue  # n's missing children first
         todo.pop()
         whole, alone = held_types(n)
-        keys = found[n] = frozenset(set(map(canon, alone)).union(*map(found.get, kids), *map(type_keys, whole)))
-        memo.put(n, keys)
+        for t in whole:
+            if (held := memo.get(t)) is None:
+                held = 0
+                for key in type_keys(t):
+                    held |= keys[key]
+                memo.put(t, held)
+            mask |= held
+        for r in alone:
+            mask |= keys[canon(r)]
+        found[n] = mask
+        memo.put(n, mask)
     return found[node]
 
 

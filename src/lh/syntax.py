@@ -361,6 +361,8 @@ def rebuilt_at(old: Term, new: Term) -> Optional[tuple[int, Term]]:
         if getattr(new, part) is not getattr(old, part):
             return None
     kids, new_kids = children(old), children(new)
+    if len(kids) == len(new_kids) == 1:  # Cast, Abs, Fix, a unary Op
+        return None if new_kids[0] is kids[0] else (0, new_kids[0])
     changed = [i for i, kid in enumerate(new_kids) if kid is not kids[i]] if len(kids) == len(new_kids) else ()
     return (changed[0], new_kids[changed[0]]) if len(changed) == 1 else None
 

@@ -22,15 +22,13 @@ a node, by identity, to the judgments about it, which are
   that `check` succeeded.
 
 Failures are never stored, so every error is raised again, with the same
-kind, path and message, by the same rules.  The memo bounds itself with two
-generations of at most `MEMO_LIMIT` nodes each: a node read from the older
-one moves into the newer one, and a full newer one becomes the older one,
-dropping what the older one held.  A node in use, such as the unrolled body
-of a loop that every iteration applies, stays; a node no judgment reads any
-more ages out, so the memo holds at most `2 * MEMO_LIMIT` nodes (and the
-terms below them) however long a trace `harness.check_trace` checks.  A
-chain of casts whose types aged out is inferred again deepest first
-(`_infer_below`), so a classic proxy chain is typed without recursing.
+kind, path and message, by the same rules.  The memo is a plain `dict`,
+read with `dict.get`, that `Memo.put` empties when it holds `2 * MEMO_LIMIT`
+nodes, so it holds no more (and the terms below them) however long a trace
+`harness.check_trace` checks; what was dropped and is asked about again is
+judged again.  A chain of casts whose types were dropped is inferred again
+deepest first (`_infer_below`), so a classic proxy chain is typed without
+recursing.
 
 One replay answers both runtime questions about predicates: does a
 predicate instance step to `true` (a premise), and does an active check's
@@ -153,30 +151,21 @@ _CHECKING_FORMS = (Const, Blame, Abs, Cond, App)
 REPLAYING = (ActiveCheck, CoercionStack)
 
 
-# nodes per generation of a `Memo`: checking the classic value loop at
-# n = 2000 peaks at 0.7 MB of tracemalloc with it, and no loop iteration of
-# the examples judges as many nodes, so none checks its unrolled body twice
+# a `Memo` is emptied at `2 * MEMO_LIMIT` nodes: checking the classic value
+# loop at n = 2000 peaks at 0.52 MB of tracemalloc with it, and no loop
+# iteration of the examples judges as many nodes
 MEMO_LIMIT = 256
 
 
-class Memo:
-    """A map from nodes, by identity, to values, in two generations (see Memoization)."""
+class Memo(dict):
+    """A map from nodes, by identity, to values, emptied when full (see Memoization)."""
 
-    __slots__ = ("new", "old")
-
-    def __init__(self):
-        self.new, self.old = {}, {}
-
-    def get(self, node):
-        value = self.new.get(node)
-        if value is None and (value := self.old.pop(node, None)) is not None:
-            self.put(node, value)
-        return value
+    __slots__ = ()
 
     def put(self, node, value) -> None:
-        if len(self.new) >= MEMO_LIMIT:
-            self.old, self.new = self.new, {}
-        self.new[node] = value
+        if len(self) >= 2 * MEMO_LIMIT:
+            self.clear()
+        self[node] = value
 
 
 def _remember(cache: dict, key: tuple, verdict: Union[bool, str]) -> None:

@@ -282,6 +282,21 @@ def test_unwritable_fuzz_report_fails_before_fuzzing(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _src_env():
+    """The environment for a child python that imports `lh` from this checkout's `src`."""
+
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_dash_m_lh_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "lh", "check", TRIPLE], capture_output=True, text=True, env=_src_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "{x:Int | x <> 0}" in proc.stdout.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["run", TRIPLE, "--mode", "eidetic", "--trace", "--json"], ["diff", TRIPLE]],
@@ -290,14 +305,12 @@ def test_closed_stdout_exits_quietly(argv):
     # the reader is gone before the first write, as after `| head -c 100`
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "lh.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_src_env(),
             timeout=60,
         )
     finally:

@@ -23,6 +23,7 @@ from lh.syntax import (
     App,
     Cast,
     Const,
+    EMPTY_ANN,
     Fun,
     Mode,
     Refinement,
@@ -289,21 +290,23 @@ def _loop_trace(mode, n):
     return itertools.chain((out.initial,), (s.term for s in out.trace))
 
 
-def test_check_trace_memo_holds_at_most_two_generations(monkeypatch):
-    # the checker's judgments and the type keys of term nodes live in two
-    # memos of two generations each, however long and deep the trace
-    memos = []
+def test_check_trace_memos_stay_bounded(monkeypatch):
+    # the checker's judgments and the type-key masks live in two memos, each
+    # emptied when full, however long and deep the trace
+    memos, emptied = [], set()
     init = Memo.__init__
     monkeypatch.setattr(Memo, "__init__", lambda self: memos.append(self) or init(self))
+    monkeypatch.setattr(Memo, "clear", lambda self: emptied.add(id(self)) or dict.clear(self))
     assert check_trace(Mode.CLASSIC, _loop_trace(Mode.CLASSIC, 300)) == []
     assert len(memos) == 2
     for memo in memos:
-        assert memo.old and len(memo.old) <= MEMO_LIMIT and len(memo.new) <= MEMO_LIMIT
+        assert id(memo) in emptied and len(memo) <= 2 * MEMO_LIMIT
 
 
 def test_check_trace_findings_do_not_depend_on_memo_aging(monkeypatch):
-    # with two nodes per generation, judgments and type keys age out at
-    # nearly every step, and what is checked again must come out the same
+    # with the memos emptied at four nodes, judgments and type-key masks are
+    # dropped at nearly every step, and what is checked again must come out
+    # the same
     traces = [(mode, terms, _reference_check_trace(mode, terms)) for mode, terms in _oracle_traces()]
     monkeypatch.setattr(typecheck, "MEMO_LIMIT", 2)
     for mode, terms, expected in traces:
@@ -421,6 +424,23 @@ def test_check_trace_checks_the_whole_term_below_frames_that_stay():
     trace[6] = TraceStep(step.rule, step._ctx, Const(True))
     terms = TraceTerms(out.initial, tuple(trace))
     expected = ["step 7: preservation failure: NotSimilar at /subject/fn/arg: constant at the wrong base type"]
+    assert check_trace(Mode.CLASSIC, terms) == expected
+    assert check_trace(Mode.CLASSIC, list(terms)) == expected
+    assert _reference_check_trace(Mode.CLASSIC, terms) == expected
+
+
+def test_check_trace_finds_types_that_grew_on_the_frame_path():
+    # step 7's number comes back through a cast to a type the trace never
+    # held and back: still well typed, but the step's part holds a key that
+    # the part it replaced lacks, and so does its whole term
+    out = eval_term(Mode.CLASSIC, parse(_LOOP_SRC + "loop 5 0"), 10_000, trace=True)
+    trace = list(out.trace)
+    step = trace[6]
+    new = parse_type("{x:Int|x > 77}")
+    there_and_back = Cast(new, EMPTY_ANN, ANY, "lg", Cast(ANY, EMPTY_ANN, new, "lg", step._focus))
+    trace[6] = TraceStep(step.rule, step._ctx, there_and_back)
+    terms = TraceTerms(out.initial, tuple(trace))
+    expected = ["step 7: types grew along the trace"]
     assert check_trace(Mode.CLASSIC, terms) == expected
     assert check_trace(Mode.CLASSIC, list(terms)) == expected
     assert _reference_check_trace(Mode.CLASSIC, terms) == expected

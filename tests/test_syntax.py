@@ -429,9 +429,9 @@ def test_no_node_field_is_assigned_after_construction(monkeypatch):
 
 
 def test_nodes_compare_and_hash_by_identity():
-    # typecheck.Memo, the checker's judgments and check_trace's type keys,
-    # keys nodes by object: value equality would merge the entries of equal
-    # nodes
+    # typecheck.Memo, which holds the checker's judgments and check_trace's
+    # type-key masks, keys nodes by object: value equality would merge the
+    # entries of equal nodes
     for cls in SYNTAX_CLASSES:
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls.__name__
     a, b = Const(1), Const(1)
