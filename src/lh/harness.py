@@ -37,14 +37,12 @@ from .syntax import (
     Type,
     Var,
     alpha_eq,
-    canon,
     children,
-    held_types,
+    held_mask,
     is_raw,
     raw,
     rebuilt_at,
     subterms,
-    type_keys,
 )
 from .typecheck import REPLAYING, Checker, Memo, TypeCheckError, check_source
 
@@ -308,10 +306,9 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     checked, where `_checks_in_place` says; else, or if it fails, the whole
     term, so every failure is the whole-term check's.  Types grew only if
     the new part, when not a child of the old one, has a key the old part
-    lacks and the whole terms compare so; keys are bits of an `int`, given
-    out per call as they are first met.  A step costs time in proportion to
-    the frames it popped and pushed and the nodes it made, not to its
-    depth."""
+    lacks and the whole terms compare so (`key_mask` bits).  A step costs
+    time in proportion to the frames it popped and pushed and the nodes it
+    made, not to its depth."""
 
     steps = terms.contexts() if isinstance(terms, TraceTerms) else ((None, t) for t in terms)
     first = next(steps, None)
@@ -323,8 +320,7 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     except TypeCheckError as exc:
         return [f"step 0: initial term does not typecheck: {exc}"]
     findings: list[str] = []
-    keys = _Bits()  # canonical type key -> its bit, numbered as first met
-    masks = Memo()  # term node or held type -> the mask of its type keys
+    masks = Memo()  # term node -> the mask of its type keys
     depth: dict[Frame, int] = {}  # the previous step's frames, the outermost at 0
     clear = 0  # how many outermost frames have no replaying form at or above them
     last, focus = first  # no frames
@@ -360,9 +356,9 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
                 accepted = False
         if (
             new not in children(old)
-            and (grown := _type_keys(keys, masks, new))
-            and grown & ~_type_keys(keys, masks, old)
-            and _type_keys(keys, masks, plug(kept, new_top)) & ~_type_keys(keys, masks, plug(kept, old_top))
+            and (grown := _type_keys(masks, new))
+            and grown & ~_type_keys(masks, old)
+            and _type_keys(masks, plug(kept, new_top)) & ~_type_keys(masks, plug(kept, old_top))
         ):
             findings.append(f"step {i}: types grew along the trace")
     return findings
@@ -398,18 +394,9 @@ def _checks_in_place(checker: Checker, spine: list, kid: Term, frame: Optional[F
 _LEAVES = (Const, Var, Blame)  # no children and no held types
 
 
-class _Bits(dict):
-    """A bit for each canonical type key, the next free one the first time it is asked for."""
-
-    def __missing__(self, key: str) -> int:
-        bit = self[key] = 1 << len(self)
-        return bit
-
-
-def _type_keys(keys: _Bits, memo: Memo, node: Term) -> int:
-    """`type_keys` of a term as a mask of keys' bits, kept in memo (never on
-    the nodes) for every node it walks but leaves and every type they hold,
-    and computed on an explicit stack."""
+def _type_keys(memo: Memo, node: Term) -> int:
+    """`type_keys` of a term as a `key_mask`, kept in memo (never on the
+    nodes) for every node it walks but leaves, on an explicit stack."""
 
     if type(node) in _LEAVES:
         return 0
@@ -431,16 +418,7 @@ def _type_keys(keys: _Bits, memo: Memo, node: Term) -> int:
         if todo[-1] is not n:
             continue  # n's missing children first
         todo.pop()
-        whole, alone = held_types(n)
-        for t in whole:
-            if (held := memo.get(t)) is None:
-                held = 0
-                for key in type_keys(t):
-                    held |= keys[key]
-                memo.put(t, held)
-            mask |= held
-        for r in alone:
-            mask |= keys[canon(r)]
+        mask |= held_mask(n)
         found[n] = mask
         memo.put(n, mask)
     return found[node]

@@ -4,56 +4,55 @@
 same five counters up to date incrementally while the machine runs, so the
 per-step cost stays proportional to the local change, not the term size.
 
-`measures(e)` caches a `Measures` on every node it visits, and a substitution
-plan (`syntax.unroll`) carries it over when it puts a constant in, so a loop's
-beta step does not measure the body again.
+A set of type keys is an `int` (`syntax.key_mask`, `syntax.held_mask`): a
+union is `|`, and `live_types` is the number of bits set.  `measures(e)` caches
+a `Measures` on every node it visits, and a substitution plan (`syntax.unroll`)
+carries it over when it puts a constant in, so a loop's beta step does not
+measure the body again.  Each node class has one function (`_MEASURES`) that
+builds the node's measures from its children's.  A node whose children are
+measured, as most new foci are, costs one call of it; else the function names
+a child that is not, and `measures` measures that first, on an explicit stack.
 
 A `Meter` keeps one summary per frame of the machine's context, covering the
-term outside that frame's hole: its type keys, as a set, pending checks,
-longest cast chain, cast chain ending at the hole, deepest proxy and longest
+term outside that frame's hole: its type-key mask, pending checks, longest
+cast chain, cast chain ending at the hole, deepest proxy and longest
 refinement list.  A push extends the parent's summary by the frame's node and
-its other children.  Nothing outside a hole changes while the machine works
-inside it, so a pop only drops the top summary, and a step's stats combine the
-top summary with the new focus's measures.  `live_types` counts distinct
-keys, so the union of the two key sets gives it exactly; a frame that adds no
-key shares its parent's set, as `_with_keys` returns a set that already holds
-the other one.
-
-A step is straight-line code: it unpacks the top summary and the focus's
-measures (a constant, variable or blame focus is `_LEAF`, without a walk),
-compares a few integers and tests one key set against another.  It rebuilds
-the peak only when some counter goes above it, and builds a `SpaceStats` only
-for the series.
+its other children, in straight-line code for a cast and an application.
+Nothing outside a hole changes while the machine works inside it, so a pop
+only drops the top summary.  A step unpacks the top summary and the new
+focus's measures (a leaf focus adds nothing), compares a few integers and
+counts the bits of one mask; it rebuilds the peak only when some counter goes
+above it, and builds a `SpaceStats` only for the series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .semantics import Context, Frame, Outcome, machine
 from .syntax import (
     Abs,
     ActiveCheck,
+    App,
     Blame,
     Cast,
     CoercionStack,
+    Cond,
     Const,
+    Fix,
     FunC,
     Mode,
+    Op,
     Refs,
-    HOLDERS,
     Term,
     Var,
-    canon,
     children,
-    held_types,
-    type_keys,
+    held_mask,
 )
 
 
-@dataclass(frozen=True)
-class SpaceStats:
+class SpaceStats(NamedTuple):
     """Five structural counters; `pending` is the space-efficiency headline."""
 
     pending: int
@@ -63,18 +62,18 @@ class SpaceStats:
     live_types: int
 
     def join(self, other: "SpaceStats") -> "SpaceStats":
-        return SpaceStats(*map(max, vars(self).values(), vars(other).values()))
+        return SpaceStats(*map(max, self, other))
 
     def as_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
 ZERO_STATS = SpaceStats(0, 0, 0, 0, 0)
+Series = list[tuple[str, SpaceStats]]  # (rule, stats after its step) for each step
 
 
 class Measures(NamedTuple):
-    """Per-node cached aggregate; `top_proxy` is -1 when the node's root is not
-    a cast chain ending on a lambda."""
+    """Per-node cached aggregate; `top_proxy` is -1 unless the node's root is a cast chain ending on a lambda."""
 
     pending: int
     top_chain: int
@@ -82,46 +81,23 @@ class Measures(NamedTuple):
     top_proxy: int
     max_proxy: int
     max_reflist: int
-    tkeys: frozenset
+    tkeys: int  # a `syntax.key_mask`
 
 
-_NO_KEYS: frozenset = frozenset()
 # every variable, constant and blame: no children and no held types
-_LEAF = Measures(0, 0, 0, -1, 0, 0, _NO_KEYS)
-
-
-def _own(e: Term, keys: frozenset) -> tuple[frozenset, int, int]:
-    """(keys extended by a `HOLDERS` node's own type keys, pending, reflist
-    length): what the node adds to its subterms' or to its context's."""
-
-    whole, alone = held_types(e)
-    for t in whole:
-        keys = _with_keys(keys, type_keys(t))
-    if alone:
-        keys = _with_keys(keys, frozenset(map(canon, alone)))
-    if isinstance(e, Cast):
-        return keys, 1, _reflen(e.ann)
-    if isinstance(e, CoercionStack):
-        return keys, 1, len(e.pending)
-    return keys, int(isinstance(e, ActiveCheck)), 0  # Abs and Fix hold no pending check
+_LEAVES = frozenset((Var, Const, Blame))
+_LEAF = Measures(0, 0, 0, -1, 0, 0, 0)
 
 
 def _reflen(ann) -> int:
-    if isinstance(ann, Refs):
+    if type(ann) is Refs:
         return len(ann.entries)
-    return max(_reflen(ann.dom), _reflen(ann.cod)) if isinstance(ann, FunC) else 0
-
-
-def _with_keys(keys: frozenset, more: frozenset) -> frozenset:
-    """keys | more, reusing either set object when it already holds the other."""
-
-    if more <= keys:
-        return keys
-    return more if keys <= more else keys | more
+    return max(_reflen(ann.dom), _reflen(ann.cod)) if type(ann) is FunC else 0
 
 
 def measures(e: Term) -> Measures:
-    """Cached structural measures of a term, computed without deep recursion."""
+    """Cached structural measures of a term: its class's function if its
+    children are measured, else the same bottom-up on an explicit stack."""
 
     cached = getattr(e, "_sm", None)
     if cached is not None:
@@ -129,66 +105,79 @@ def measures(e: Term) -> Measures:
     todo: list[Term] = [e]
     while todo:
         node = todo[-1]
-        if getattr(node, "_sm", None) is not None:
+        m = _MEASURES[type(node)](node)
+        if type(m) is Measures:
+            node._sm = m
             todo.pop()
-            continue
-        missing = [c for c in children(node) if getattr(c, "_sm", None) is None]
-        if missing:
-            todo.extend(missing)
-            continue
-        todo.pop()
-        node._sm = _combine(node)
+        else:  # a child without `_sm`, to measure first
+            todo.append(m)
     return e._sm
 
 
-def _combine(e: Term) -> Measures:
-    kids = children(e)
-    if isinstance(e, HOLDERS):
-        tkeys, pending, max_reflist = _own(e, _NO_KEYS)
-    elif kids:
-        tkeys, pending, max_reflist = _NO_KEYS, 0, 0
-    else:
-        return _LEAF
-    max_chain = max_proxy = 0
+# One function per node class: the node's measures from its children's `_sm`
+# (none needed from a leaf), or else a child that has none yet
+_measures = partial(tuple.__new__, Measures)  # without the named tuple's Python-level constructor
+
+
+def _joined(kids, pending: int, reflist: int, holder: Optional[Term] = None, top_proxy: int = -1):
+    """The measures of a node that adds pending, reflist and holder's types to its kids'."""
+
+    chain = proxy = tkeys = 0
     for c in kids:
-        m = c._sm
-        pending += m.pending
-        if m.max_chain > max_chain:
-            max_chain = m.max_chain
-        if m.max_proxy > max_proxy:
-            max_proxy = m.max_proxy
-        if m.max_reflist > max_reflist:
-            max_reflist = m.max_reflist
-        tkeys = _with_keys(tkeys, m.tkeys)
-    top_chain = 0
-    top_proxy = -1
+        if type(c) in _LEAVES:
+            continue
+        m = getattr(c, "_sm", None)
+        if m is None:
+            return c
+        c_pending, _, c_chain, _, c_proxy, c_reflist, c_keys = m
+        pending += c_pending
+        if c_chain > chain:
+            chain = c_chain
+        if c_proxy > proxy:
+            proxy = c_proxy
+        if c_reflist > reflist:
+            reflist = c_reflist
+        tkeys |= c_keys
+    if holder is not None:
+        tkeys |= held_mask(holder)
+    return _measures((pending, 0, chain, top_proxy, proxy, reflist, tkeys))
 
-    if isinstance(e, Abs):
-        top_proxy = 0
-    elif isinstance(e, Cast):
-        sub = e.subject._sm
-        top_chain = 1 + sub.top_chain
-        max_chain = max(max_chain, top_chain)
-        if sub.top_proxy >= 0:
-            top_proxy = sub.top_proxy + 1
-            max_proxy = max(max_proxy, top_proxy)
 
-    return Measures(pending, top_chain, max_chain, top_proxy, max_proxy, max_reflist, tkeys)
+def _cast(e: Cast):
+    sub = e.subject
+    m = _LEAF if type(sub) in _LEAVES else getattr(sub, "_sm", None)
+    if m is None:
+        return sub
+    pending, top_chain, chain, top_proxy, proxy, reflist, tkeys = m
+    top_chain += 1
+    chain = max(chain, top_chain)
+    if top_proxy >= 0:
+        top_proxy += 1
+        proxy = max(proxy, top_proxy)
+    reflist = max(reflist, _reflen(e.ann))
+    return _measures((pending + 1, top_chain, chain, top_proxy, proxy, reflist, tkeys | held_mask(e)))
+
+
+_MEASURES = {
+    **dict.fromkeys(_LEAVES, lambda e: _LEAF),
+    Abs: lambda e: _joined((e.body,), 0, 0, e, 0),
+    Fix: lambda e: _joined((e.body,), 0, 0, e),
+    App: lambda e: _joined((e.fn, e.arg), 0, 0),
+    Op: lambda e: _joined(e.args, 0, 0),
+    Cond: lambda e: _joined((e.guard, e.then, e.orelse), 0, 0),
+    Cast: _cast,
+    ActiveCheck: lambda e: _joined((e.current, e.scrutinee), 1, 0, e),
+    CoercionStack: lambda e: _joined((e.current, e.scrutinee), 1, len(e.pending), e),
+}
 
 
 def space_stats(e: Term) -> SpaceStats:
     m = measures(e)
-    return SpaceStats(m.pending, m.max_chain, m.max_reflist, m.max_proxy, len(m.tkeys))
+    return SpaceStats(m.pending, m.max_chain, m.max_reflist, m.max_proxy, m.tkeys.bit_count())
 
 
 # ---------------------------------------------------------------------------
 # Incremental meter
-
-
-# the bottom of the stack: the empty context around the root
-_NO_FRAME: tuple = (_NO_KEYS, 0, 0, 0, 0, 0)
-# the classes `_combine` gives `_LEAF`
-_LEAVES = frozenset((Var, Const, Blame))
 
 
 class Meter:
@@ -198,15 +187,15 @@ class Meter:
     context, so it writes nothing onto frames that a trace may share."""
 
     def __init__(self, series: bool = False):
-        self._frames: list[tuple] = [_NO_FRAME]
-        self._peak = (0, 0, 0, 0, 0)
-        self.series: Optional[list[tuple[str, SpaceStats]]] = [] if series else None
+        self._frames: list[tuple] = [(0, 0, 0, 0, 0, 0)]  # the empty context around the root
+        self._peak = (0, 0, 0, 0, 0)  # a plain tuple, which indexes faster than a named one
+        self.series: Optional[Series] = [] if series else None
 
     @property
     def max(self) -> SpaceStats:
         """The pointwise maximum of the stats of every term seen so far."""
 
-        return SpaceStats(*self._peak)
+        return SpaceStats._make(self._peak)
 
     # observer events
 
@@ -216,21 +205,26 @@ class Meter:
     def push(self, frame: Frame, child: Term) -> None:
         keys, pending, chain, suffix, proxy, reflist = self._frames[-1]
         orig = frame.orig
-        if isinstance(orig, HOLDERS):
-            keys, own_pending, own_reflist = _own(orig, keys)
-            pending += own_pending
-            if own_reflist > reflist:
-                reflist = own_reflist
-        if type(orig) is Cast:  # its one child, the subject, is the hole
-            self._frames.append((keys, pending, chain, suffix + 1, proxy, reflist))
+        kind = type(orig)
+        if kind is Cast:  # its one child, the subject, is the hole
+            reflist = max(reflist, _reflen(orig.ann))
+            self._frames.append((keys | held_mask(orig), pending + 1, chain, suffix + 1, proxy, reflist))
             return
         if suffix > chain:
             chain = suffix
-        for i, s in enumerate(children(orig)):
-            if i == frame.index:
+        if kind is App:
+            siblings = (orig.arg,) if frame.index == 0 else (orig.fn,)
+        else:
+            kids, i = children(orig), frame.index
+            siblings = kids[:i] + kids[i + 1 :]
+            if kind is ActiveCheck or kind is CoercionStack:  # a pending check, and a stack's list
+                keys, pending = keys | held_mask(orig), pending + 1
+                reflist = max(reflist, len(orig.pending) if kind is CoercionStack else 0)
+        for s in siblings:
+            if type(s) in _LEAVES:
                 continue
-            s_pending, _, s_chain, _, s_proxy, s_reflist, s_keys = measures(s)
-            keys = _with_keys(keys, s_keys)
+            s_pending, _, s_chain, _, s_proxy, s_reflist, s_keys = getattr(s, "_sm", None) or measures(s)
+            keys |= s_keys
             pending += s_pending
             if s_chain > chain:
                 chain = s_chain
@@ -248,20 +242,25 @@ class Meter:
         passes no rule, and its root adds no series entry."""
 
         keys, pending, chain, suffix, proxy, reflist = self._frames[-1]
-        m = _LEAF if type(new) in _LEAVES else measures(new)
-        m_pending, top_chain, max_chain, top_proxy, max_proxy, max_reflist, m_keys = m
-        pending += m_pending
-        if suffix + top_chain > chain:
-            chain = suffix + top_chain
-        if max_chain > chain:
-            chain = max_chain
-        if max_reflist > reflist:
-            reflist = max_reflist
-        if max_proxy > proxy:
-            proxy = max_proxy
-        if top_proxy >= 0 and suffix + top_proxy > proxy:
-            proxy = suffix + top_proxy
-        live = len(keys if m_keys <= keys else keys | m_keys)
+        if suffix > chain:
+            chain = suffix
+        if type(new) not in _LEAVES:  # a leaf adds nothing
+            m_pending, top_chain, max_chain, top_proxy, max_proxy, max_reflist, m_keys = (
+                getattr(new, "_sm", None) or measures(new)
+            )
+            pending += m_pending
+            keys |= m_keys
+            if suffix + top_chain > chain:
+                chain = suffix + top_chain
+            if max_chain > chain:
+                chain = max_chain
+            if max_reflist > reflist:
+                reflist = max_reflist
+            if max_proxy > proxy:
+                proxy = max_proxy
+            if top_proxy >= 0 and suffix + top_proxy > proxy:
+                proxy = suffix + top_proxy
+        live = keys.bit_count()
         peak = self._peak
         if pending > peak[0] or chain > peak[1] or reflist > peak[2] or proxy > peak[3] or live > peak[4]:
             self._peak = tuple(map(max, peak, (pending, chain, reflist, proxy, live)))
@@ -270,11 +269,8 @@ class Meter:
 
 
 def eval_metered(
-    mode: Mode,
-    e: Term,
-    budget: int = 100_000,
-    series: bool = False,
-) -> tuple[Outcome, SpaceStats, Optional[list[tuple[str, SpaceStats]]]]:
+    mode: Mode, e: Term, budget: int = 100_000, series: bool = False
+) -> tuple[Outcome, SpaceStats, Optional[Series]]:
     """Run the machine with metering; the outcome is identical to plain eval."""
 
     meter = Meter(series=series)
@@ -282,5 +278,5 @@ def eval_metered(
     return outcome, meter.max, meter.series
 
 
-def series_json(series: list[tuple[str, SpaceStats]]) -> list[dict]:
+def series_json(series: Series) -> list[dict]:
     return [{"step": i, "rule": rule, **stats.as_dict()} for i, (rule, stats) in enumerate(series, start=1)]

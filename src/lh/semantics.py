@@ -132,7 +132,8 @@ def axiom_oracle(axioms: list[tuple[Refinement, Refinement]]) -> ImplicationOrac
 
 
 def implies(oracle: ImplicationOracle, t1: Refinement, t2: Refinement) -> bool:
-    assert t1.base is t2.base, "implication is only defined at a single base type"
+    if t1.base is not t2.base:
+        raise ValueError("implication is only defined at a single base type")
     return oracle(t1, t2)
 
 
@@ -571,7 +572,10 @@ class Machine:
             return (_STEP, Blame(subject.label), "E-CastRaise")
         # 2. merge adjacent casts whenever the mode can
         if type(subject) is Cast:
-            merged = self._merge(subject.ann, subject.tgt, e.ann, self.oracle)
+            try:
+                merged = self._merge(subject.ann, subject.tgt, e.ann, self.oracle)
+            except ValueError as exc:  # eidetic coercions that do not compose
+                return (_STUCK, f"cast over a cast whose coercions do not compose: {exc}")
             if merged is not None:
                 return (_STEP, Cast(subject.src, merged, e.tgt, e.label, subject.subject), "E-CastMergeE")
         # 3. otherwise step the subject

@@ -3,8 +3,9 @@
 Terms, types, cast annotations, coercions and the structural measures
 (substitution, alpha-equivalence, type extraction).  Nodes are dataclasses
 equal by identity, and no code assigns a field after construction: the only
-attributes set later are caches, each a function of the fields (`_fv`, `_canon`,
-`_tkeys`, `_unrolled`, `_plan`, `_sm`, `_value_<mode>`); `test_syntax` checks.
+attributes set later are caches, each a function of the fields (`_fv`,
+`_canon`, `_tkeys`, `_tmask`, `_unrolled`, `_plan`, `_sm`, `_value_<mode>`);
+`test_syntax` checks.
 
 Term shape is written down once, here: `children(e)` lists a term node's
 immediate subterms, `with_child(e, i, c)` rebuilds e with c as its i-th
@@ -32,8 +33,15 @@ since its strings fix the order of a heedful type set (`Types`), the order
 and on the root of a term.  Keys cached on every term node of every trace
 raised the peak memory of the trace-check benchmark from 39 MB to 55-70 MB
 (10 s runs, Python 3.11).  `harness.check_trace` keeps the keys of the term
-nodes it walks in a bounded memo of its own, and asks `type_keys` only for
-the type nodes they hold.
+nodes it walks in a bounded memo of its own, and reads the masks of the types
+they hold.
+
+A set of type keys is also an `int` (`key_mask`): one bit per canonical key,
+numbered as the process first meets them; no result depends on the numbering.
+`type_mask` caches a type's mask on it (`_tmask`), and a type set's or a
+coercion's on the annotation; `held_mask(e)` is a term node's.  The numbering
+grows by one entry per distinct type in the programs run, as evaluation makes
+no type that a program with closed types lacks (31 after 1,500 programs).
 
 `subst` is textbook capture-avoiding substitution on the part map: it
 rebuilds the nodes on the paths to x, renames a binder free in v apart with
@@ -377,8 +385,15 @@ def subterms(e: Term) -> Iterator[Term]:
         todo.extend(children(node))
 
 
-HOLDERS = (Abs, Fix, Cast, ActiveCheck, CoercionStack)
 _HOLDS_NONE: tuple[tuple[Type, ...], tuple[Refinement, ...]] = ((), ())
+_HELD = {
+    **dict.fromkeys((Abs, Fix), lambda e: ((e.annot,), ())),
+    Cast: lambda e: (
+        ((e.src, e.tgt, *e.ann.members), ()) if type(e.ann) is Types else ((e.src, e.tgt), _coercion_refs(e.ann))
+    ),
+    ActiveCheck: lambda e: ((e.tgt,), ()),
+    CoercionStack: lambda e: ((e.tgt,), tuple([x.ref for x in e.pending])),
+}
 
 
 def held_types(e: Term) -> tuple[tuple[Type, ...], tuple[Refinement, ...]]:
@@ -386,28 +401,18 @@ def held_types(e: Term) -> tuple[tuple[Type, ...], tuple[Refinement, ...]]:
     their structural parts (a function type's domain and codomain, the types in
     a refinement's predicate), and refinement-list entries, which count alone."""
 
-    if not isinstance(e, HOLDERS):
-        return _HOLDS_NONE
-    if isinstance(e, Cast):
-        ann = e.ann
-        if isinstance(ann, Types):
-            return (e.src, e.tgt, *ann.members), ()
-        return (e.src, e.tgt), () if isinstance(ann, EmptyAnn) else _coercion_refs(ann)
-    if isinstance(e, ActiveCheck):
-        return (e.tgt,), ()
-    if isinstance(e, CoercionStack):
-        return (e.tgt,), tuple([x.ref for x in e.pending])
-    return (e.annot,), ()  # Abs, Fix
+    held = _HELD.get(type(e))
+    return _HOLDS_NONE if held is None else held(e)
 
 
-def _coercion_refs(c: Coercion) -> tuple[Refinement, ...]:
+def _coercion_refs(c: Union[EmptyAnn, Coercion]) -> tuple[Refinement, ...]:
     refs: list[Refinement] = []
     todo = [c]
     while todo:
         c = todo.pop()
         if isinstance(c, Refs):
             refs.extend(x.ref for x in c.entries)
-        else:
+        elif isinstance(c, FunC):
             todo += (c.cod, c.dom)
     return tuple(refs)
 
@@ -760,3 +765,50 @@ def type_keys(node: Node) -> frozenset[str]:
                 found.update(map(canon, alone))
     keys = node._tkeys = frozenset(found)
     return keys
+
+
+_KEY_BITS: dict[str, int] = {}  # canonical type key -> its bit, the next free one when first met
+
+
+def key_mask(keys: Iterable[str]) -> int:
+    """Canonical type keys as an `int`: one bit per key, in one numbering for the process."""
+
+    mask = 0
+    for key in keys:
+        mask |= _KEY_BITS.get(key) or _KEY_BITS.setdefault(key, 1 << len(_KEY_BITS))
+    return mask
+
+
+def type_mask(node: Union[Type, Annotation]) -> int:
+    """`key_mask` of a type's `type_keys`, or of the keys an annotation holds
+    (`held_types`), cached on node (`_tmask`)."""
+
+    mask = getattr(node, "_tmask", None)
+    if mask is None:
+        kind = type(node)
+        if kind is Types:
+            keys = [k for t in node.members for k in type_keys(t)]
+        elif kind is Refinement or kind is Fun:
+            keys = type_keys(node)
+        else:
+            keys = map(canon, _coercion_refs(node))  # none for the empty annotation
+        mask = node._tmask = key_mask(keys)
+    return mask
+
+
+def held_mask(e: Term) -> int:
+    """`key_mask` of the keys of the types a term node holds itself
+    (`held_types`), read from the masks cached on them and on a cast's annotation."""
+
+    if type(e) is Cast:
+        try:
+            return e.src._tmask | e.tgt._tmask | e.ann._tmask
+        except AttributeError:  # one not cached yet
+            return type_mask(e.src) | type_mask(e.tgt) | type_mask(e.ann)
+    if type(e) not in _HELD:
+        return 0
+    whole, alone = _HELD[type(e)](e)
+    mask = key_mask(map(canon, alone)) if alone else 0
+    for t in whole:
+        mask |= type_mask(t)
+    return mask

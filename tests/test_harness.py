@@ -349,7 +349,7 @@ def test_check_trace_work_per_step_does_not_grow_with_depth(monkeypatch):
     # counts, not timings, on the machine's own traces of the classic loop,
     # whose context grows by one pending cast per iteration: frames rebuilt,
     # pairs compared, positions asked for a child type, typing rules run and
-    # nodes whose held types the type-key walk reads
+    # nodes whose held types' key mask the type-key walk reads
     outs = [eval_term(Mode.CLASSIC, parse(_LOOP_SRC + f"loop {n} 0"), 1_000_000, trace=True) for n in (25, 50)]
     counted = (
         (Frame, "rebuild"),
@@ -357,7 +357,7 @@ def test_check_trace_work_per_step_does_not_grow_with_depth(monkeypatch):
         (Checker, "_child_type"),
         (Checker, "_infer_rule"),
         (Checker, "_check_rule"),
-        (harness, "held_types"),
+        (harness, "held_mask"),
     )
     calls = {name: [] for _, name in counted}
     for owner, name in counted:

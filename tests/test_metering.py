@@ -69,7 +69,8 @@ def test_join_is_pointwise_max():
 
 def assert_meter_matches_trace(mode, e, budget):
     """Each series entry is the stats of the trace term after its step, and
-    the peak is their join with the initial term's."""
+    the peak is their join with the initial term's.  Its live types are also
+    counted from `type_keys`, which uses no key masks."""
 
     out, mx, series = eval_metered(mode, e, budget, series=True)
     traced = eval_term(mode, e, budget, trace=True)
@@ -79,6 +80,7 @@ def assert_meter_matches_trace(mode, e, budget):
     for i, ((rule, stats), term, step) in enumerate(zip(series, terms[1:], traced.trace), 1):
         assert rule == step.rule
         assert stats == space_stats(term), (i, rule)
+        assert stats.live_types == len(type_keys(term)), (i, rule)
         acc = acc.join(stats)
     assert mx == acc
     return out
@@ -209,6 +211,18 @@ def test_series_json(e3):
     data = series_json(series)
     assert data[0]["step"] == 1 and "pending" in data[0]
     json.dumps(data)  # serializable
+
+
+def test_measures_of_a_deep_fresh_cast_chain_do_not_recurse():
+    # no node of the chain is measured yet: each cast's function names its
+    # subject, and measures works down the chain on an explicit stack
+    nat = parse_type("{x:Int|x >= 0}")
+    e = Const(1)
+    for i in range(50_000):
+        e = Cast(nat, EMPTY_ANN, nat, f"l{i % 7}", e)
+    m = measures(e)
+    assert (m.pending, m.top_chain, m.max_chain, m.max_reflist) == (50_000, 50_000, 50_000, 0)
+    assert space_stats(e).live_types == 1
 
 
 def test_measures_cache_consistency(e3):

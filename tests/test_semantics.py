@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import load_example
 from lh import eval_term, semantics
 from lh.harness import check_trace, gen_source
+from lh.metering import eval_metered
 from lh.semantics import (
     IsBlame,
     IsValue,
@@ -187,6 +188,32 @@ def test_a_foreign_annotation_is_stuck_and_ill_formed(mode, ann, reason):
     with pytest.raises(TypeCheckError) as exc:
         Checker(mode).wf_annotation(e.ann, e.src, e.tgt)
     assert (exc.value.kind, exc.value.detail) == ("IllFormedAnnotation", reason)
+
+
+_BOOL = parse_type("{b:Bool|true}")
+
+
+@pytest.mark.parametrize(
+    "inner, why",
+    [
+        pytest.param(
+            Cast(Fun(ANY, ANY), _FUN_COERCION, Fun(ANY, NAT), None, parse("\\x:{x:Int|true}. x")),
+            "coercion_merge: mismatched coercion shapes",
+            id="refs-over-func",
+        ),
+        pytest.param(
+            Cast(_BOOL, coerce(_BOOL, _BOOL, "lb"), _BOOL, None, Const(True)),
+            "implication is only defined at a single base type",
+            id="int-over-bool",
+        ),
+    ],
+)
+def test_an_eidetic_cast_over_a_cast_whose_coercions_do_not_compose_is_stuck(inner, why):
+    e = Cast(ANY, _REF_LIST, NAT, None, inner)  # an annotated eidetic cast over inner
+    reason = f"cast over a cast whose coercions do not compose: {why}"
+    for out in (Machine(Mode.EIDETIC).eval(e, 100), eval_metered(Mode.EIDETIC, e, 100)[0]):
+        assert (out.kind, out.stuck_reason, out.steps) == (OutcomeKind.STUCK, reason, 0)
+    assert Machine(Mode.EIDETIC).step(e) == Stuck(reason)
 
 
 def test_split_annotation():
