@@ -23,13 +23,13 @@ from .syntax import (
     Abs,
     App,
     BaseType,
-    Blame,
     Cast,
     Cond,
     Const,
     EMPTY_ANN,
     Fix,
     Fun,
+    LEAVES,
     Mode,
     Op,
     Refinement,
@@ -304,11 +304,14 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     walked down together with `rebuilt_at` to the deepest pair that differs.
     After an accepted term, by replacement, only that pair's new part is
     checked, where `_checks_in_place` says; else, or if it fails, the whole
-    term, so every failure is the whole-term check's.  Types grew only if
-    the new part, when not a child of the old one, has a key the old part
-    lacks and the whole terms compare so (`key_mask` bits).  A step costs
-    time in proportion to the frames it popped and pushed and the nodes it
-    made, not to its depth."""
+    term, so every failure is the whole-term check's.  Each frame kept from
+    the previous step, and each position on the walked-down spine, carries
+    one flag: whether a replaying form (`typecheck.REPLAYING`), whose rule
+    replays what lies below it instead of typing it, sits at or above it.
+    Types grew only if the new part, when not a child of the old one, has a
+    key the old part lacks and the whole terms compare so (`key_mask` bits).
+    A step costs time in proportion to the frames it popped and pushed and
+    the nodes it made, not to its depth."""
 
     steps = terms.contexts() if isinstance(terms, TraceTerms) else ((None, t) for t in terms)
     first = next(steps, None)
@@ -321,33 +324,31 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
         return [f"step 0: initial term does not typecheck: {exc}"]
     findings: list[str] = []
     masks = Memo()  # term node -> the mask of its type keys
-    depth: dict[Frame, int] = {}  # the previous step's frames, the outermost at 0
-    clear = 0  # how many outermost frames have no replaying form at or above them
+    replays: dict[Frame, bool] = {}  # the previous step's frames: is a replaying form at or above?
     last, focus = first  # no frames
     accepted = False
     for i, (ctx, now) in enumerate(itertools.chain((first,), steps)):
         pushed, kept = [], ctx
-        while kept is not None and kept not in depth:
+        while kept is not None and kept not in replays:
             pushed.append(kept)
             kept = kept.rest
         old_top, new_top = plug(last, focus, kept), plug(ctx, now, kept)
         while last is not kept:
-            del depth[last]
+            del replays[last]
             last = last.rest
-        clear = min(clear, len(depth))
         for frame in reversed(pushed):
-            if clear == len(depth) and type(frame.orig) not in REPLAYING:
-                clear += 1
-            depth[frame] = len(depth)
+            replays[frame] = type(frame.orig) in REPLAYING or replays.get(frame.rest, False)
         last, focus = ctx, now
 
-        spine = []  # (node, i) per new node rebuilt at its i-th child, from the top
+        spine = []  # (node, i, replayed) per new node rebuilt at its i-th child, from the top
         old, new = old_top, new_top
+        replayed = replays.get(kept, False)
         while (moved := rebuilt_at(old, new)) is not None:
-            spine.append((new, moved[0]))
+            replayed = replayed or type(new) in REPLAYING
+            spine.append((new, moved[0], replayed))
             old, new = children(old)[moved[0]], moved[1]
 
-        if not (accepted and _checks_in_place(checker, spine, new, kept, depth, clear)):
+        if not (accepted and _checks_in_place(checker, spine, new, kept, replays)):
             try:
                 checker.check({}, plug(kept, new_top), ty)
                 accepted = True
@@ -364,25 +365,21 @@ def check_trace(mode: Mode, terms: Iterable[Term]) -> list[str]:
     return findings
 
 
-def _checks_in_place(checker: Checker, spine: list, kid: Term, frame: Optional[Frame], depth: dict, clear: int) -> bool:
+def _checks_in_place(checker: Checker, spine: list, kid: Term, frame: Optional[Frame], replays: dict) -> bool:
     """Whether the new term checks, by its changed child kid at the nearest
     position above it (on the spine, then in the kept frames from frame out)
-    whose rule checks that child against one type (`Checker._child_type`),
-    with no replaying form at or above; False if none is or kid fails there."""
+    whose rule checks that child against one type (`Checker._child_type`)
+    and that is not flagged as replayed (in the spine's entries, in replays
+    for the frames); False if none is or kid fails there."""
 
     try:
-        top = next((j for j, (node, _) in enumerate(spine) if type(node) in REPLAYING), len(spine))
-        if frame is not None and depth[frame] >= clear:
-            top = 0  # a kept frame replays the whole spine
-        if top < len(spine):
-            kid = spine[top][0]
-        for node, i in reversed(spine[:top]):
-            if (t := checker._child_type(node, i)) is not None:
+        for node, i, replayed in reversed(spine):
+            if not replayed and (t := checker._child_type(node, i)) is not None:
                 checker.check({}, kid, t)
                 return True
             kid = node
         while frame is not None:
-            if depth[frame] < clear and (t := checker._child_type(frame.orig, frame.index)) is not None:
+            if not replays[frame] and (t := checker._child_type(frame.orig, frame.index)) is not None:
                 checker.check({}, kid, t)
                 return True
             kid, frame = frame.rebuild(kid), frame.rest
@@ -391,14 +388,11 @@ def _checks_in_place(checker: Checker, spine: list, kid: Term, frame: Optional[F
     return False
 
 
-_LEAVES = (Const, Var, Blame)  # no children and no held types
-
-
 def _type_keys(memo: Memo, node: Term) -> int:
     """`type_keys` of a term as a `key_mask`, kept in memo (never on the
     nodes) for every node it walks but leaves, on an explicit stack."""
 
-    if type(node) in _LEAVES:
+    if type(node) in LEAVES:
         return 0
     if (mask := memo.get(node)) is not None:
         return mask
@@ -411,7 +405,7 @@ def _type_keys(memo: Memo, node: Term) -> int:
             continue
         mask = 0
         for kid in children(n):
-            if (part := found.get(kid)) is None and (part := 0 if type(kid) in _LEAVES else memo.get(kid)) is None:
+            if (part := found.get(kid)) is None and (part := 0 if type(kid) in LEAVES else memo.get(kid)) is None:
                 todo.append(kid)
             else:
                 mask |= part

@@ -35,18 +35,16 @@ from .syntax import (
     Abs,
     ActiveCheck,
     App,
-    Blame,
     Cast,
     CoercionStack,
     Cond,
-    Const,
     Fix,
     FunC,
+    LEAVES,
     Mode,
     Op,
     Refs,
     Term,
-    Var,
     children,
     held_mask,
 )
@@ -84,8 +82,6 @@ class Measures(NamedTuple):
     tkeys: int  # a `syntax.key_mask`
 
 
-# every variable, constant and blame: no children and no held types
-_LEAVES = frozenset((Var, Const, Blame))
 _LEAF = Measures(0, 0, 0, -1, 0, 0, 0)
 
 
@@ -124,7 +120,7 @@ def _joined(kids, pending: int, reflist: int, holder: Optional[Term] = None, top
 
     chain = proxy = tkeys = 0
     for c in kids:
-        if type(c) in _LEAVES:
+        if type(c) in LEAVES:
             continue
         m = getattr(c, "_sm", None)
         if m is None:
@@ -145,7 +141,7 @@ def _joined(kids, pending: int, reflist: int, holder: Optional[Term] = None, top
 
 def _cast(e: Cast):
     sub = e.subject
-    m = _LEAF if type(sub) in _LEAVES else getattr(sub, "_sm", None)
+    m = _LEAF if type(sub) in LEAVES else getattr(sub, "_sm", None)
     if m is None:
         return sub
     pending, top_chain, chain, top_proxy, proxy, reflist, tkeys = m
@@ -159,7 +155,7 @@ def _cast(e: Cast):
 
 
 _MEASURES = {
-    **dict.fromkeys(_LEAVES, lambda e: _LEAF),
+    **dict.fromkeys(LEAVES, lambda e: _LEAF),
     Abs: lambda e: _joined((e.body,), 0, 0, e, 0),
     Fix: lambda e: _joined((e.body,), 0, 0, e),
     App: lambda e: _joined((e.fn, e.arg), 0, 0),
@@ -221,7 +217,7 @@ class Meter:
                 keys, pending = keys | held_mask(orig), pending + 1
                 reflist = max(reflist, len(orig.pending) if kind is CoercionStack else 0)
         for s in siblings:
-            if type(s) in _LEAVES:
+            if type(s) in LEAVES:
                 continue
             s_pending, _, s_chain, _, s_proxy, s_reflist, s_keys = getattr(s, "_sm", None) or measures(s)
             keys |= s_keys
@@ -244,7 +240,7 @@ class Meter:
         keys, pending, chain, suffix, proxy, reflist = self._frames[-1]
         if suffix > chain:
             chain = suffix
-        if type(new) not in _LEAVES:  # a leaf adds nothing
+        if type(new) not in LEAVES:  # a leaf adds nothing
             m_pending, top_chain, max_chain, top_proxy, max_proxy, max_reflist, m_keys = (
                 getattr(new, "_sm", None) or measures(new)
             )

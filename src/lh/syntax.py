@@ -12,9 +12,10 @@ immediate subterms, `with_child(e, i, c)` rebuilds e with c as its i-th
 child (`rebuilt_at` inverts it, from `children` and the parts each class
 keeps), `subterms(e)` walks them all, and `held_types(e)` lists the types
 the node holds itself, split into those that count with their structural
-parts and refinement-list entries that count alone.  That split decides
-`types(e)`, the set of types no reduction step may grow.  `semantics`,
-`metering` and `harness` read the term shape only through these.
+parts and refinement-list entries that count alone; `LEAVES` are the
+classes with neither.  That split decides `types(e)`, the set of types no
+reduction step may grow.  `semantics`, `metering` and `harness` read the
+term shape only through these.
 
 The part map is the other half: `map_parts(node, f, last)` copies a term or
 type node with f applied to every term and type directly inside it,
@@ -295,9 +296,11 @@ Node = Union[Term, Type]
 # ---------------------------------------------------------------------------
 # Term shape: what a term node contains
 
+# every variable, constant and blame: no children and no held types
+LEAVES = frozenset((Var, Const, Blame))
 
 _CHILDREN = {
-    **dict.fromkeys((Var, Const, Blame), lambda e: ()),
+    **dict.fromkeys(LEAVES, lambda e: ()),
     **dict.fromkeys((Abs, Fix), lambda e: (e.body,)),
     App: lambda e: (e.fn, e.arg),
     Op: lambda e: e.args,
@@ -443,7 +446,7 @@ def _map_abs(n, f, last):
 
 
 _PARTS = {
-    **dict.fromkeys((Var, Const, Blame), lambda n, f, last: n),
+    **dict.fromkeys(LEAVES, lambda n, f, last: n),
     Refinement: _map_refinement,
     Fun: lambda n, f, last: Fun(f(n.dom), f(n.cod)),
     Abs: _map_abs,

@@ -13,18 +13,19 @@ predicate `x mod 2 = 0` checks `2` against `mod`'s nonzero divisor by replay.
 Memoization.  Nodes keep their fields (see `syntax`) and are compared by
 identity, so a verdict about a node holds for as long as the node exists.
 `infer` and `check` are the memoised entry points: each `Checker` keeps its
-successful judgments in one `Memo` it owns (never in node attributes), from
-a node, by identity, to the judgments about it, which are
+successful judgments in one flat `Memo` it owns (never in node attributes),
+keyed by a node, by identity, and the judgment:
 
-- for a type node: `wf_type` succeeded on it;
-- for a closed term (one checked under the empty environment): the type
-  `infer` gave it; for each expected type object it was checked against,
-  that `check` succeeded.
+- `(type, "wf")`: `wf_type` succeeded on the type node;
+- `(term, "type")`: the type `infer` gave a closed term (one checked under
+  the empty environment);
+- `(term, expected type object)`: `check` of a closed term against that
+  type object succeeded.
 
 Failures are never stored, so every error is raised again, with the same
 kind, path and message, by the same rules.  The memo is a plain `dict`,
 read with `dict.get`, that `Memo.put` empties when it holds `2 * MEMO_LIMIT`
-nodes, so it holds no more (and the terms below them) however long a trace
+entries, so it holds no more (and the nodes they name) however long a trace
 `harness.check_trace` checks; what was dropped and is asked about again is
 judged again.  A chain of casts whose types were dropped is inferred again
 deepest first (`_infer_below`), so a classic proxy chain is typed without
@@ -151,21 +152,23 @@ _CHECKING_FORMS = (Const, Blame, Abs, Cond, App)
 REPLAYING = (ActiveCheck, CoercionStack)
 
 
-# a `Memo` is emptied at `2 * MEMO_LIMIT` nodes: checking the classic value
-# loop at n = 2000 peaks at 0.52 MB of tracemalloc with it, and no loop
-# iteration of the examples judges as many nodes
+# a `Memo` is emptied at `2 * MEMO_LIMIT` entries: checking the classic value
+# loop at n = 2000 peaks at 0.37 MB of tracemalloc with it, and no loop
+# iteration of the examples judges more than 146 entries, but in classic
+# proxy_loop.lh, whose proxy chain grows by two casts an iteration
 MEMO_LIMIT = 256
 
 
 class Memo(dict):
-    """A map from nodes, by identity, to values, emptied when full (see Memoization)."""
+    """A map from nodes or (node, judgment) keys, by identity, to values,
+    emptied when full (see Memoization)."""
 
     __slots__ = ()
 
-    def put(self, node, value) -> None:
+    def put(self, key, value) -> None:
         if len(self) >= 2 * MEMO_LIMIT:
             self.clear()
-        self[node] = value
+        self[key] = value
 
 
 def _remember(cache: dict, key: tuple, verdict: Union[bool, str]) -> None:
@@ -180,19 +183,12 @@ class Checker:
     source: bool = False
     oracle: ImplicationOracle = DEFAULT_ORACLE
     budget: int = PREDICATE_BUDGET
-    # node -> {judgment key: result}, for the successful judgments only
+    # (node, judgment key) -> result, for the successful judgments only
     _memo: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # types refinement predicates: self, or a source checker's runtime twin
         self._runtime = Checker(self.mode, False, self.oracle, self.budget) if self.source else self
-
-    def _note(self, node, key, result) -> None:
-        facts = self._memo.get(node)
-        if facts is None:
-            self._memo.put(node, {key: result})
-        else:
-            facts[key] = result
 
     # -- predicate replay
 
@@ -225,10 +221,9 @@ class Checker:
     # -- well-formedness
 
     def wf_type(self, t: Type, path: str = "") -> None:
-        facts = self._memo.get(t)
-        if facts is None or _WELL_FORMED not in facts:
+        if (t, _WELL_FORMED) not in self._memo:
             self._wf_type(t, path)
-            self._note(t, _WELL_FORMED, True)
+            self._memo.put((t, _WELL_FORMED), True)
 
     def _wf_type(self, t: Type, path: str) -> None:
         if isinstance(t, Refinement):
@@ -290,15 +285,13 @@ class Checker:
     def infer(self, env: Mapping[str, Type], e: Term, path: str = "") -> Type:
         if env:
             return self._infer_rule(env, e, path)
-        facts = self._memo.get(e)
-        if facts is not None:
-            t = facts.get(_INFERRED)
-            if t is not None:
-                return t
+        t = self._memo.get((e, _INFERRED))
+        if t is not None:
+            return t
         if type(e) is Cast:
             self._infer_below(e)
         t = self._infer_rule(env, e, path)
-        self._note(e, _INFERRED, t)
+        self._memo.put((e, _INFERRED), t)
         return t
 
     def _infer_rule(self, env: Mapping[str, Type], e: Term, path: str) -> Type:
@@ -369,7 +362,7 @@ class Checker:
         without recursing; an error is left for e's own rule to raise, with its path."""
 
         chain = []
-        while type(e := e.subject) is Cast and _INFERRED not in (self._memo.get(e) or ()):
+        while type(e := e.subject) is Cast and (e, _INFERRED) not in self._memo:
             chain.append(e)
         try:
             for cast in reversed(chain):
@@ -388,10 +381,9 @@ class Checker:
         if env:
             self._check_rule(env, e, t, path)
             return
-        facts = self._memo.get(e)
-        if facts is None or t not in facts:
+        if (e, t) not in self._memo:
             self._check_rule(env, e, t, path)
-            self._note(e, t, True)
+            self._memo.put((e, t), True)
 
     def _check_rule(self, env: Mapping[str, Type], e: Term, t: Type, path: str) -> None:
         if isinstance(e, _CHECKING_FORMS):

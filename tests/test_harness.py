@@ -304,13 +304,32 @@ def test_check_trace_memos_stay_bounded(monkeypatch):
 
 
 def test_check_trace_findings_do_not_depend_on_memo_aging(monkeypatch):
-    # with the memos emptied at four nodes, judgments and type-key masks are
+    # with the memos emptied at four entries, judgments and type-key masks are
     # dropped at nearly every step, and what is checked again must come out
     # the same
     traces = [(mode, terms, _reference_check_trace(mode, terms)) for mode, terms in _oracle_traces()]
     monkeypatch.setattr(typecheck, "MEMO_LIMIT", 2)
     for mode, terms, expected in traces:
         assert check_trace(mode, terms) == expected, (mode, print_term(terms[0]))
+
+
+def test_check_trace_findings_do_not_depend_on_verdict_eviction(monkeypatch):
+    # with room for two replay verdicts, nearly every premise is replayed
+    # again after its verdict was evicted, and must come out the same
+    traces = [(mode, terms, check_trace(mode, terms)) for mode, terms in _oracle_traces()]
+    sizes = []
+    remember = typecheck._remember
+
+    def remember_and_measure(cache, key, verdict):
+        remember(cache, key, verdict)
+        sizes.append(len(cache))
+
+    monkeypatch.setattr(typecheck, "VERDICT_CACHE_LIMIT", 2)
+    monkeypatch.setattr(typecheck, "_REPLAY_CACHE", {})
+    monkeypatch.setattr(typecheck, "_remember", remember_and_measure)
+    for mode, terms, expected in traces:
+        assert check_trace(mode, terms) == expected, (mode, print_term(terms[0]))
+    assert len(sizes) > 2 and max(sizes) == 2  # the cache filled up, and evicted from then on
 
 
 def test_check_trace_of_a_classic_proxy_chain_does_not_recurse():
@@ -399,11 +418,16 @@ def test_check_trace_checks_above_a_form_that_replays_the_change():
     # under frames pushed by the step (4) or kept from the one before (5):
     # the number checks against the Int that + or <> expects, but the check's
     # replay of (3 + 1) + 1 <> 0 never reaches it, so the step is checked
-    # above the active check
-    term = parse("<{x:Int|true} => {x:Int|(x + 1) + 1 <> 0} @ l> 3")
-    for mode in ALL_MODES:
-        out = eval_term(mode, term, 100, trace=True)
-        for value in (4, 5):
+    # above the active check.  In the second predicate the step to 4 rebuilds
+    # the product below the sum's frame, kept from the step before, so the
+    # product's position is replayed too
+    cases = (
+        ("<{x:Int|true} => {x:Int|(x + 1) + 1 <> 0} @ l> 3", (4, 5)),
+        ("<{x:Int|true} => {x:Int|(if x > 0 then (x + 1) * 2 else 0) + 1 <> 0} @ l> 3", (4,)),
+    )
+    for (source, values), mode in itertools.product(cases, ALL_MODES):
+        out = eval_term(mode, parse(source), 100, trace=True)
+        for value in values:
             trace = list(out.trace)
             j = next(j for j, step in enumerate(trace) if step.rule == "E-Op" and step._focus.value == value)
             trace[j] = TraceStep(trace[j].rule, trace[j]._ctx, Const(value + 10))

@@ -1,7 +1,13 @@
+import inspect
+import random
+import textwrap
+
 import pytest
 
-from conftest import load_example
-from lh.harness import check_trace
+from conftest import EXAMPLES, load_example
+from lh import eval_term, typecheck
+from lh.harness import check_trace, gen_source
+from lh.semantics import Machine
 from lh.surface import parse, parse_type
 from lh.syntax import (
     ALL_MODES,
@@ -17,7 +23,9 @@ from lh.syntax import (
     Mode,
     Status,
     alpha_eq,
+    children,
     raw,
+    with_child,
 )
 from lh.typecheck import (
     NOT_SIMILAR,
@@ -230,3 +238,74 @@ def test_budget_order_does_not_change_the_verdict():
             else:
                 checker.check({}, Const(5), ty)
                 assert checker.infer({}, done) is ty
+
+
+_STAND_INS = (Const(0), Const(-3), Const(True), Const(False), Blame("lz"))
+
+
+def _replaced(term, path, new):
+    """term with the child at the index path replaced by new, the nodes above rebuilt."""
+
+    nodes = [term]
+    for i in path[:-1]:
+        nodes.append(children(nodes[-1])[i])
+    for node, i in zip(reversed(nodes), reversed(path)):
+        new = with_child(node, i, new)
+    return new
+
+
+def _ill_formed_mutants():
+    """(mode, term) for each trace term of the examples but proxy_loop.lh
+    (its classic chain is 2000 casts long) and of 30 generated programs, with
+    one child, picked at random, replaced by a constant, blame or its own
+    first child."""
+
+    rng = random.Random(12)
+    programs = [load_example(p.name) for p in sorted(EXAMPLES.glob("*.lh")) if p.name != "proxy_loop.lh"]
+    programs += [gen_source(700 + i, 12) for i in range(30)]
+    for term in programs:
+        for mode in ALL_MODES:
+            for now in eval_term(mode, term, 10_000, trace=True).trace_terms():
+                positions, todo = [], [((), now)]
+                while todo:
+                    path, node = todo.pop()
+                    for i, kid in enumerate(children(node)):
+                        positions.append((path + (i,), kid))
+                        todo.append((path + (i,), kid))
+                if positions:
+                    path, kid = rng.choice(positions)
+                    yield mode, _replaced(now, path, rng.choice(_STAND_INS + children(kid)[:1]))
+
+
+def _checker_crashes(mutants):
+    crashes = []
+    for mode, term in mutants:
+        try:
+            Checker(mode).infer({}, term)
+        except TypeCheckError:
+            pass
+        except Exception as exc:
+            crashes.append(exc)
+    return crashes
+
+
+def test_ill_formed_runtime_terms_fail_cleanly(monkeypatch):
+    # the checker raises nothing but TypeCheckError on an ill-formed term,
+    # and the machine steps or stops on it without raising
+    mutants = list(_ill_formed_mutants())
+    assert len(mutants) > 4000
+    assert _checker_crashes(mutants) == []
+    for mode, term in mutants:
+        machine = Machine(mode)
+        machine.step(term)
+        machine.eval(term, 100)
+    # control: without the guard on a stack's scrutinee, the stack rule reads
+    # a blame scrutinee's base type, and the test sees the crash
+    lines = textwrap.dedent(inspect.getsource(Checker._infer_stack)).splitlines(keepends=True)
+    j = next(j for j, line in enumerate(lines) if "stack scrutinee is not a constant" in line)
+    del lines[j - 1 : j + 1]
+    unguarded = {}
+    exec("".join(lines), vars(typecheck), unguarded)
+    monkeypatch.setattr(Checker, "_infer_stack", unguarded["_infer_stack"])
+    crashes = _checker_crashes(mutants)
+    assert crashes and all(isinstance(exc, AttributeError) for exc in crashes)
