@@ -389,8 +389,8 @@ def _checks_in_place(checker: Checker, spine: list, kid: Term, frame: Optional[F
 
 
 def _type_keys(memo: Memo, node: Term) -> int:
-    """`type_keys` of a term as a `key_mask`, kept in memo (never on the
-    nodes) for every node it walks but leaves, on an explicit stack."""
+    """The union of the `held_mask` of a term's nodes, kept in memo (never on
+    the nodes) for every node it walks but leaves, on an explicit stack."""
 
     if type(node) in LEAVES:
         return 0

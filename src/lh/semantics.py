@@ -171,7 +171,8 @@ def split_annotation(ann) -> tuple:
     if isinstance(ann, Types):
         doms, cods = [], []
         for t in ann.members:
-            assert isinstance(t, Fun), "split_annotation: type-set member is not a function type"
+            if type(t) is not Fun:
+                raise ValueError("split_annotation: type-set member is not a function type")
             doms.append(t.dom)
             cods.append(t.cod)
         return Types.of(doms), Types.of(cods)
@@ -503,7 +504,10 @@ class Machine:
             plan = type(arg) is Const and getattr(fn, "_plan", None)
             return (_STEP, plan(fn.body, arg) if plan else subst(fn.body, fn.binder, arg), "E-Beta")
         if type(fn) is Cast:
-            return (_STEP, self._unwrap(fn, arg), "E-Unwrap")
+            try:
+                return (_STEP, self._unwrap(fn, arg), "E-Unwrap")
+            except ValueError:  # a heedful type set with a member of another shape
+                return (_STUCK, "type-set member dissimilar to the cast")
         return (_STUCK, "application of a non-function value")
 
     def _op(self, e: Op):
@@ -562,7 +566,10 @@ class Machine:
         if type(e.ann) is EmptyAnn:  # annotate source casts first
             if e.label is None:
                 return (_STUCK, "eidetic cast with empty annotation and empty label")
-            return (_STEP, Cast(e.src, coerce(e.src, e.tgt, e.label), e.tgt, None, e.subject), "E-Coerce")
+            try:
+                return (_STEP, Cast(e.src, coerce(e.src, e.tgt, e.label), e.tgt, None, e.subject), "E-Coerce")
+            except ValueError:
+                return (_STUCK, "cast between dissimilar types")
         return self._cast(e)
 
     def _cast(self, e: Cast):
@@ -598,7 +605,8 @@ class Machine:
                 if not e.ann.members:
                     return (_STEP, self._start_check(tgt, k, e.label), "E-CheckEmpty")
                 chosen, rest = choose(e.ann, self.choose_policy)
-                assert isinstance(chosen, Refinement)
+                if type(chosen) is not Refinement:
+                    return (_STUCK, "type-set member dissimilar to the cast")
                 return (_STEP, Cast(chosen, rest, tgt, e.label, self._start_check(chosen, k, e.label)), "E-CheckSet")
             if ann is not Refs:
                 return (_STUCK, "function coercion on a refinement cast")

@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional
 
+from .semantics import INT_MAX, INT_MIN
 from .syntax import (
     Abs,
     ActiveCheck,
@@ -223,7 +224,7 @@ class _Parser:
         if self.at("punct", "-"):
             self.next()
             if self.at("int"):
-                return Const(-int(self.next().text))
+                return self.parse_int(-1)
             return Op("-", (Const(0), self.parse_unary()))
         return self.parse_app()
 
@@ -250,9 +251,19 @@ class _Parser:
     def _at_atom(self) -> bool:
         return self.at("int") or self.at("ident") or self.at("kw", "true") or self.at("kw", "false") or self.at("punct", "(")
 
+    def parse_int(self, sign: int = 1) -> Const:
+        """The next token's integer literal times sign, if 64 bits hold it."""
+
+        digits = self.tokens[self.pos].text.lstrip("0") or "0"
+        # no 64-bit value has 20 digits, so longer ones are never converted
+        if len(digits) > 19 or not INT_MIN <= (value := sign * int(digits)) <= INT_MAX:
+            raise self.error("integer literal out of the 64-bit range")
+        self.pos += 1
+        return Const(value)
+
     def parse_atom(self) -> Term:
         if self.at("int"):
-            return Const(int(self.next().text))
+            return self.parse_int()
         if self.at("kw", "true") or self.at("kw", "false"):
             return Const(self.next().text == "true")
         if self.at("ident"):

@@ -4,7 +4,7 @@ Terms, types, cast annotations, coercions and the structural measures
 (substitution, alpha-equivalence, type extraction).  Nodes are dataclasses
 equal by identity, and no code assigns a field after construction: the only
 attributes set later are caches, each a function of the fields (`_fv`,
-`_canon`, `_tkeys`, `_tmask`, `_unrolled`, `_plan`, `_sm`, `_value_<mode>`);
+`_canon`, `_tmask`, `_unrolled`, `_plan`, `_sm`, `_value_<mode>`);
 `test_syntax` checks.
 
 Term shape is written down once, here: `children(e)` lists a term node's
@@ -29,20 +29,19 @@ every step; the part map rebuilds whole nodes.  `canon` keeps its own walk,
 since its strings fix the order of a heedful type set (`Types`), the order
 `semantics.choose` reads: alpha-equivalent programs check their sets alike.
 
-`free_vars` and `canon` cache their result on every node they visit;
-`type_keys` only on the node it is asked about, that is on shared type nodes
-and on the root of a term.  Keys cached on every term node of every trace
-raised the peak memory of the trace-check benchmark from 39 MB to 55-70 MB
-(10 s runs, Python 3.11).  `harness.check_trace` keeps the keys of the term
-nodes it walks in a bounded memo of its own, and reads the masks of the types
-they hold.
+`free_vars` and `canon` cache their result on every node they visit.
 
-A set of type keys is also an `int` (`key_mask`): one bit per canonical key,
-numbered as the process first meets them; no result depends on the numbering.
-`type_mask` caches a type's mask on it (`_tmask`), and a type set's or a
-coercion's on the annotation; `held_mask(e)` is a term node's.  The numbering
-grows by one entry per distinct type in the programs run, as evaluation makes
-no type that a program with closed types lacks (31 after 1,500 programs).
+A set of type keys, the canonical forms of the types in `types(e)`, is an
+`int` (`key_mask`): one bit per key, numbered as the process first meets
+them; no result depends on the numbering.  `type_mask` builds the mask of a
+type or an annotation and caches it there (`_tmask`); `held_mask(e)` is a
+term node's, read from those.  A term's mask is never cached on its nodes:
+key sets cached on every term node of every trace raised the peak memory of
+the trace-check benchmark from 39 MB to 55-70 MB (10 s runs, Python 3.11).
+`harness.check_trace` keeps the masks of the term nodes it walks in a bounded
+memo of its own.  The numbering grows by one entry per distinct type in the
+programs run, as evaluation makes no type that a program with closed types
+lacks (31 after 1,500 programs).
 
 `subst` is textbook capture-avoiding substitution on the part map: it
 rebuilds the nodes on the paths to x, renames a binder free in v apart with
@@ -742,34 +741,6 @@ def alpha_eq(a: Node, b: Node) -> bool:
 # Type extraction
 
 
-def type_keys(node: Node) -> frozenset[str]:
-    """Canonical keys of every type (with its structural parts) occurring in
-    node, on an explicit stack; a term's are the union of its held types'
-    keys.  Cached on node, and read from any type node that has them."""
-
-    cached = getattr(node, "_tkeys", None)
-    if cached is not None:
-        return cached
-    found: set[str] = set()
-    todo: list[Node] = [node]
-    while todo:
-        n = todo.pop()
-        if isinstance(n, (Refinement, Fun)):
-            known = getattr(n, "_tkeys", None)
-            if known is not None:
-                found |= known
-                continue
-            found.add(canon(n))
-            todo += (n.cod, n.dom) if isinstance(n, Fun) else (n.predicate,)
-        else:
-            for e in subterms(n):
-                whole, alone = held_types(e)
-                todo += whole
-                found.update(map(canon, alone))
-    keys = node._tkeys = frozenset(found)
-    return keys
-
-
 _KEY_BITS: dict[str, int] = {}  # canonical type key -> its bit, the next free one when first met
 
 
@@ -783,19 +754,27 @@ def key_mask(keys: Iterable[str]) -> int:
 
 
 def type_mask(node: Union[Type, Annotation]) -> int:
-    """`key_mask` of a type's `type_keys`, or of the keys an annotation holds
-    (`held_types`), cached on node (`_tmask`)."""
+    """`key_mask` of the keys of the types in a type, with its structural
+    parts, or of those an annotation holds (`held_types`), cached on node
+    (`_tmask`).  A refinement's are its own and those its predicate's nodes
+    hold (`held_mask`), walked with `subterms`."""
 
     mask = getattr(node, "_tmask", None)
     if mask is None:
         kind = type(node)
-        if kind is Types:
-            keys = [k for t in node.members for k in type_keys(t)]
-        elif kind is Refinement or kind is Fun:
-            keys = type_keys(node)
+        if kind is Refinement:
+            mask = key_mask((canon(node),))
+            for e in subterms(node.predicate):
+                mask |= held_mask(e)
+        elif kind is Fun:
+            mask = key_mask((canon(node),)) | type_mask(node.dom) | type_mask(node.cod)
+        elif kind is Types:
+            mask = 0
+            for t in node.members:
+                mask |= type_mask(t)
         else:
-            keys = map(canon, _coercion_refs(node))  # none for the empty annotation
-        mask = node._tmask = key_mask(keys)
+            mask = key_mask(map(canon, _coercion_refs(node)))  # none for the empty annotation
+        node._tmask = mask
     return mask
 
 

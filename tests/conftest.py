@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from lh.surface import parse
-from lh.syntax import Blame, Const, Var, map_parts
+from lh.syntax import Blame, Const, Fun, Refinement, Var, canon, held_types, map_parts, subterms
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -35,3 +35,24 @@ def uncached(node):
     if isinstance(node, (Var, Const, Blame)):
         return dataclasses.replace(node)
     return map_parts(node, uncached, lambda binder, part: (binder, uncached(part)))
+
+
+def type_keys(node) -> frozenset[str]:
+    """The canonical keys of every type, with its structural parts, in a term
+    or type; a term's are those of the types its nodes hold (`held_types`).
+    Built from strings alone, uncached: the reference the library's key masks
+    are compared with."""
+
+    found: set[str] = set()
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, (Refinement, Fun)):
+            found.add(canon(n))
+            todo += (n.cod, n.dom) if isinstance(n, Fun) else (n.predicate,)
+        else:
+            for e in subterms(n):
+                whole, alone = held_types(e)
+                todo += whole
+                found.update(map(canon, alone))
+    return frozenset(found)

@@ -64,6 +64,33 @@ def test_check_rejects_ill_typed(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_json_and_diff_report_an_ill_typed_program(tmp_path, capsys):
+    bad = tmp_path / "bad.lh"
+    bad.write_text("1 2")
+    error = "NotAFunction at <top>: application of a non-function"
+    code, out = run_cli(capsys, "check", str(bad), "--json")
+    assert (code, json.loads(out)) == (2, {"ok": False, "error": error})
+    assert main(["diff", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_an_integer_literal_outside_64_bits_is_an_input_error(tmp_path, capsys):
+    prog = tmp_path / "big.lh"
+    for digits in ("99999999999999999999", "9" * 5_000):
+        prog.write_text(f"<{{x:Int|true}} => {{x:Int|x > 0}} @ l> {digits}")
+        for command in ("check", "run"):
+            assert main([command, str(prog)]) == 2
+            err = f"error: 1:37: integer literal out of the 64-bit range (found '{digits}')\n"
+            assert capsys.readouterr() == ("", err)
+
+
+def test_run_trace_prints_a_line_per_step(capsys):
+    code, out = run_cli(capsys, "run", TRIPLE, "--mode", "classic", "--trace")
+    rules = ["E-CheckNoneC", "E-Op", "E-CheckFail", "E-CastRaise", "E-CastRaise"]
+    assert code == 1
+    assert out.splitlines() == [f"     {i} {rule}" for i, rule in enumerate(rules, 1)] + ["blame l1"]
+
+
 def test_run_exit_codes(capsys):
     expectations = {"classic": (1, "blame l1"), "forgetful": (0, "-1"), "heedful": (1, "blame l3"), "eidetic": (1, "blame l1")}
     for mode, (code, text) in expectations.items():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coercions import assoc_counterexamples, coercion_eq, gen_coercion, gen_reflist
-from conftest import load_example
+from conftest import load_example, type_keys
 from lh import eval_term, harness, typecheck
 from lh.harness import (
     ANY,
@@ -35,7 +35,6 @@ from lh.syntax import (
     raw,
     rebuilt_at,
     subterms,
-    type_keys,
     with_child,
 )
 from lh.typecheck import MEMO_LIMIT, Checker, Memo, TypeCheckError, check_source

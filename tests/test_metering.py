@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_example, uncached
+from conftest import load_example, type_keys, uncached
 from lh import eval_term
 from lh.harness import gen_source
 from lh.metering import (
@@ -31,7 +31,6 @@ from lh.syntax import (
     alpha_eq,
     subst,
     subterms,
-    type_keys,
 )
 
 

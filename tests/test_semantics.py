@@ -31,6 +31,7 @@ from lh.syntax import (
     Abs,
     App,
     Cast,
+    CoercionStack,
     Const,
     EMPTY_ANN,
     EMPTY_TYPES,
@@ -214,6 +215,40 @@ def test_an_eidetic_cast_over_a_cast_whose_coercions_do_not_compose_is_stuck(inn
     for out in (Machine(Mode.EIDETIC).eval(e, 100), eval_metered(Mode.EIDETIC, e, 100)[0]):
         assert (out.kind, out.stuck_reason, out.steps) == (OutcomeKind.STUCK, reason, 0)
     assert Machine(Mode.EIDETIC).step(e) == Stuck(reason)
+
+
+_ANY_TO_ANY = Fun(ANY, ANY)
+_MEMBER = "type-set member dissimilar to the cast"
+_LAMBDA = parse("\\y:{x:Int|true}. y")
+
+
+@pytest.mark.parametrize(
+    "mode, e, reason",
+    [
+        # a cast at types of two shapes: E-Coerce raised coerce's ValueError,
+        # and E-CheckSet and E-Unwrap an AssertionError, out of the machine
+        (Mode.EIDETIC, Cast(ANY, EMPTY_ANN, _ANY_TO_ANY, "l", Const(3)), "cast between dissimilar types"),
+        (Mode.HEEDFUL, Cast(ANY, Types((_ANY_TO_ANY,)), NAT, "l", Const(3)), _MEMBER),
+        (Mode.HEEDFUL, App(Cast(_ANY_TO_ANY, Types((ANY,)), _ANY_TO_ANY, "l", _LAMBDA), Const(1)), _MEMBER),
+        (Mode.CLASSIC, Op("nope", (Const(1),)), "operation 'nope' undefined: unknown operation 'nope'"),
+        (Mode.CLASSIC, NAT, "unknown term Refinement"),
+        (Mode.CLASSIC, parse("9223372036854775807 + 1"), "integer overflow in '+'"),
+        (
+            Mode.EIDETIC,
+            CoercionStack(NAT, Status.CHECKED, (), Const(1), _LAMBDA),
+            "coercion stack reduced to a non-constant value",
+        ),
+        (Mode.EIDETIC, Cast(ANY, EMPTY_ANN, NAT, None, Const(1)), "eidetic cast with empty annotation and empty label"),
+    ],
+    ids=["coerce", "check-set", "unwrap", "unknown-op", "unknown-term", "overflow", "stack-on-lambda", "empty-label"],
+)
+def test_stuck_texts(mode, e, reason):
+    outs = [Machine(mode).eval(e, 100)]
+    if e is not NAT:  # the meter measures terms only
+        outs.append(eval_metered(mode, e, 100)[0])
+    for out in outs:
+        assert (out.kind, out.stuck_reason, out.steps) == (OutcomeKind.STUCK, reason, 0)
+    assert Machine(mode).step(e) == Stuck(reason)
 
 
 def test_split_annotation():

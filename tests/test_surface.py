@@ -51,6 +51,10 @@ def test_every_operator_pair_roundtrips():
 
 def test_negative_literals():
     assert alpha_eq(parse("-7"), Const(-7))
+    # the 64-bit bounds; a minus written before a literal is part of it
+    assert alpha_eq(parse("9223372036854775807"), Const(2**63 - 1))
+    assert alpha_eq(parse("-9223372036854775808"), Const(-(2**63)))
+    assert alpha_eq(parse("0" * 5_000 + "7"), Const(7))
     assert alpha_eq(parse("0 - 7"), Op("-", (Const(0), Const(7))))
     assert alpha_eq(parse("1 - 2"), Op("-", (Const(1), Const(2))))
 
@@ -197,6 +201,12 @@ def test_every_token_is_where_its_position_says(examples_dir):
         # the base type is judged where it stands, here the eof itself
         (parse_type, "{x:", "1:4: expected Int or Bool (at end of input)"),
         (parse, "<{x:Int|true} => {x:Foo|true} @ l> 1", "1:21: expected Int or Bool (found 'Foo')"),
+        # integer literals outside 64 bits, where their digits start
+        (parse, "9223372036854775808", "1:1: integer literal out of the 64-bit range (found '9223372036854775808')"),
+        (parse, "-9223372036854775809", "1:2: integer literal out of the 64-bit range (found '9223372036854775809')"),
+        (parse, "0 - 9223372036854775808", "1:5: integer literal out of the 64-bit range (found '9223372036854775808')"),
+        # past Python's own limit on converting digit strings, still a ParseError
+        pytest.param(parse, "9" * 5_000, f"1:1: integer literal out of the 64-bit range (found '{'9' * 5_000}')", id="5000-digits"),
     ],
 )
 def test_parse_error_texts(parser, text, message):

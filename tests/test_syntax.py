@@ -3,8 +3,8 @@ import typing
 
 import pytest
 
-from conftest import EXAMPLES, load_example, uncached
-from lh import syntax
+from conftest import EXAMPLES, load_example, type_keys, uncached
+from lh import harness, syntax
 from lh.harness import check_trace, diff_modes, gen_source
 from lh.metering import eval_metered, measures, space_stats
 from lh.semantics import OutcomeKind, machine
@@ -29,6 +29,7 @@ from lh.syntax import (
     free_vars,
     held_types,
     is_raw,
+    key_mask,
     map_parts,
     Mode,
     rebuilt_at,
@@ -36,11 +37,11 @@ from lh.syntax import (
     raw,
     subst,
     subterms,
-    type_keys,
+    type_mask,
     unroll,
     with_child,
 )
-from lh.typecheck import check_source
+from lh.typecheck import Memo, check_source
 
 RAW_INT = raw(BaseType.INT)
 NODE_CLASSES = typing.get_args(Node)
@@ -77,6 +78,14 @@ def test_subst_skips_bound_occurrences():
     assert subst(e, "x", Const(1)) is e
 
 
+def test_subst_into_the_annotation_of_a_binder_that_shadows_x():
+    # x is free in the annotation, which lies outside the binder's scope, and
+    # bound in the body, which is kept as it is
+    e = Abs("x", parse_type("{y:Int|y = x}"), Var("x"))
+    out = subst(e, "x", Const(3))
+    assert alpha_eq(out, Abs("x", parse_type("{y:Int|y = 3}"), Var("x"))) and out.body is e.body
+
+
 def test_raw_types():
     assert is_raw(RAW_INT)
     assert is_raw(raw(BaseType.BOOL))
@@ -95,12 +104,19 @@ def test_typeset_dedups_modulo_alpha():
 def test_types_of_e3(e3):
     srcs = ["{x:Int|true}", "{x:Int|x >= 0}", "{x:Int|x mod 2 = 0}", "{x:Int|x <> 0}"]
     assert type_keys(e3) == {canon(parse(f"<{s} => {s} @ l> 0").src) for s in srcs}
+    assert harness._type_keys(Memo(), e3) == key_mask(type_keys(e3))
 
 
 def test_types_of_includes_predicate_subterm_types():
-    # a refinement whose predicate itself applies a cast contributes both types
-    e = parse("<{x:Int|(\\y:{z:Int|z > 0}. true) 1} => {x:Int|true} @ l> 2")
-    assert len(type_keys(e)) >= 3
+    # a refinement's predicate holds types of its own: here a lambda's
+    # annotation and a cast's target, which occur nowhere else in the term
+    e = parse("<{x:Int|(\\y:{z:Int|z > 0}. true) (<{v:Int|true} => {w:Int|w <> 0} @ m> 1)} => {x:Int|true} @ l> 2")
+    inner = {canon(parse_type(t)) for t in ("{z:Int|z > 0}", "{w:Int|w <> 0}", "{v:Int|true}")}
+    assert type_keys(e.src) == {canon(e.src)} | inner
+    assert type_keys(e) == {canon(e.src), canon(e.tgt)} | inner
+    # the library's masks agree with the oracle, the refinement's own included
+    assert type_mask(e.src) == key_mask(type_keys(e.src))
+    assert harness._type_keys(Memo(), e) == key_mask(type_keys(e))
 
 
 def test_structural_folds_handle_deep_terms():
@@ -111,6 +127,7 @@ def test_structural_folds_handle_deep_terms():
     for i in range(5_000):
         e = Op("+", (Cast(RAW_INT, EMPTY_ANN, nat, f"l{i}", e), Const(1)))
     assert type_keys(e) == {canon(RAW_INT), canon(nat)}
+    assert harness._type_keys(Memo(), e) == key_mask((canon(RAW_INT), canon(nat)))
     stats = space_stats(e)
     assert stats.pending == 5_000 and stats.live_types == 2
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import EXAMPLES, load_example
 from lh import eval_term, typecheck
 from lh.harness import check_trace, gen_source
-from lh.semantics import Machine
+from lh.semantics import Machine, coerce
 from lh.surface import parse, parse_type
 from lh.syntax import (
     ALL_MODES,
@@ -21,14 +21,22 @@ from lh.syntax import (
     EMPTY_ANN,
     Fun,
     Mode,
+    Op,
+    RefEntry,
+    Refs,
     Status,
+    Types,
     alpha_eq,
     children,
     raw,
     with_child,
 )
 from lh.typecheck import (
+    ILL_FORMED_ANNOTATION,
+    ILL_FORMED_TYPE,
     NOT_SIMILAR,
+    OP_ARITY,
+    SOURCE_VIOLATION,
     Checker,
     TypeCheckError,
     check_source,
@@ -71,9 +79,6 @@ def test_wf_type():
 
 
 def test_wf_annotation_mode_discipline():
-    from lh.semantics import coerce
-    from lh.syntax import EMPTY_ANN, Types
-
     Checker(Mode.CLASSIC).wf_annotation(EMPTY_ANN, ANY, NAT)
     ts = Types.of([EVEN])
     Checker(Mode.HEEDFUL).wf_annotation(ts, ANY, NAT)
@@ -194,6 +199,69 @@ def test_corrupted_stack_rejected(e3):
         Checker(Mode.EIDETIC).check({}, wrong2, NZ)
 
 
+_CHECK = ActiveCheck(NZ, parse("3 <> 0"), Const(3), "l")
+_STACK = CoercionStack(NZ, Status.UNCHECKED, (RefEntry(NZ, "l"),), Const(3), Const(3))
+
+
+@pytest.mark.parametrize(
+    "judge, kind, detail",
+    [
+        pytest.param(
+            lambda: Checker(Mode.HEEDFUL).wf_annotation(Types((Fun(ANY, ANY),)), ANY, NAT),
+            ILL_FORMED_ANNOTATION,
+            "type-set member dissimilar to the cast",
+            id="set-member",
+        ),
+        pytest.param(
+            lambda: Checker(Mode.EIDETIC).wf_annotation(coerce(ANY, NAT, "l"), Fun(ANY, ANY), Fun(ANY, NAT)),
+            ILL_FORMED_ANNOTATION,
+            "refinement list on a function cast",
+            id="list-on-function",
+        ),
+        pytest.param(
+            lambda: Checker(Mode.EIDETIC).wf_annotation(Refs((RefEntry(RAW_BOOL, "l"),)), ANY, NAT),
+            ILL_FORMED_ANNOTATION,
+            "refinement list entry at the wrong base type",
+            id="entry-base",
+        ),
+        pytest.param(
+            lambda: Checker(Mode.EIDETIC).wf_annotation(Refs((RefEntry(NAT, "l"), RefEntry(NAT, "m"))), ANY, NAT),
+            ILL_FORMED_ANNOTATION,
+            "duplicate refinement in refinement list",
+            id="entry-twice",
+        ),
+        pytest.param(
+            lambda: Checker(Mode.HEEDFUL, source=True).infer({}, Cast(ANY, Types.of([NAT]), NAT, "l", Const(1))),
+            SOURCE_VIOLATION,
+            "source casts carry empty annotations",
+            id="source-annotation",
+        ),
+        pytest.param(
+            lambda: Checker(Mode.CLASSIC).infer({}, Op("+", (Const(1),))), OP_ARITY, "'+' expects 2 arguments", id="arity"
+        ),
+        pytest.param(
+            lambda: Checker(Mode.CLASSIC, source=True).infer({}, _CHECK),
+            SOURCE_VIOLATION,
+            "active checks are runtime-only forms",
+            id="source-check",
+        ),
+        pytest.param(
+            lambda: Checker(Mode.EIDETIC, source=True).infer({}, _STACK),
+            SOURCE_VIOLATION,
+            "coercion stacks are runtime-only forms",
+            id="source-stack",
+        ),
+        pytest.param(
+            lambda: Checker(Mode.CLASSIC).infer({}, NAT), ILL_FORMED_TYPE, "unknown term Refinement", id="not-a-term"
+        ),
+    ],
+)
+def test_type_error_texts(judge, kind, detail):
+    with pytest.raises(TypeCheckError) as info:
+        judge()
+    assert (info.value.kind, info.value.detail) == (kind, detail)
+
+
 def test_a_blame_scrutinee_is_not_similar():
     # the rules of the runtime forms read a scrutinee as a constant: blame
     # there raised AttributeError out of the checker and out of check_trace
@@ -258,9 +326,11 @@ def _ill_formed_mutants():
     """(mode, term) for each trace term of the examples but proxy_loop.lh
     (its classic chain is 2000 casts long) and of 30 generated programs, with
     one child, picked at random, replaced by a constant, blame or its own
-    first child."""
+    first child; and, where the term holds a cast, with one cast's target
+    replaced by a type of the other shape, a base type for a function type
+    and a function type for a base type."""
 
-    rng = random.Random(12)
+    rng, shapes = random.Random(12), random.Random(13)
     programs = [load_example(p.name) for p in sorted(EXAMPLES.glob("*.lh")) if p.name != "proxy_loop.lh"]
     programs += [gen_source(700 + i, 12) for i in range(30)]
     for term in programs:
@@ -275,6 +345,11 @@ def _ill_formed_mutants():
                 if positions:
                     path, kid = rng.choice(positions)
                     yield mode, _replaced(now, path, rng.choice(_STAND_INS + children(kid)[:1]))
+                casts = [(path, node) for path, node in [((), now), *positions] if type(node) is Cast]
+                if casts:
+                    path, cast = shapes.choice(casts)
+                    tgt = ANY if type(cast.tgt) is Fun else Fun(cast.tgt, cast.tgt)
+                    yield mode, _replaced(now, path, Cast(cast.src, cast.ann, tgt, cast.label, cast.subject))
 
 
 def _checker_crashes(mutants):
@@ -293,7 +368,7 @@ def test_ill_formed_runtime_terms_fail_cleanly(monkeypatch):
     # the checker raises nothing but TypeCheckError on an ill-formed term,
     # and the machine steps or stops on it without raising
     mutants = list(_ill_formed_mutants())
-    assert len(mutants) > 4000
+    assert len(mutants) > 8000
     assert _checker_crashes(mutants) == []
     for mode, term in mutants:
         machine = Machine(mode)
