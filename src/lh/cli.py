@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="lh", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="typecheck a source program in all four modes")
+    p = sub.add_parser("check", help="typecheck a source program under the source discipline")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)

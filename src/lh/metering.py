@@ -101,7 +101,10 @@ def measures(e: Term) -> Measures:
     todo: list[Term] = [e]
     while todo:
         node = todo[-1]
-        m = _MEASURES[type(node)](node)
+        measure = _MEASURES.get(type(node))
+        if measure is None:
+            raise TypeError(f"measures: not a term: {node!r}")
+        m = measure(node)
         if type(m) is Measures:
             node._sm = m
             todo.pop()
@@ -196,7 +199,8 @@ class Meter:
     # observer events
 
     def start(self, root: Term) -> None:
-        self.step(None, None, root, root)
+        if type(root) in _MEASURES:  # else the machine is stuck on it at once
+            self.step(None, None, root, root)
 
     def push(self, frame: Frame, child: Term) -> None:
         keys, pending, chain, suffix, proxy, reflist = self._frames[-1]

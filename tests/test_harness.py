@@ -63,6 +63,11 @@ def test_gen_source_is_well_typed_and_deterministic():
         check_source(a)
 
 
+def test_gen_source_needs_a_positive_size():
+    with pytest.raises(ValueError, match="size must be at least 1"):
+        gen_source(3, 0)
+
+
 def test_gen_source_roundtrips():
     for seed in range(30):
         e = gen_source(seed, 15)
@@ -487,6 +492,10 @@ def test_checker_memo_keeps_expected_types_apart():
     checker.check({"x": NAT}, x, NAT)
     with pytest.raises(TypeCheckError, match="differs from the expected type"):
         checker.check({"x": ANY}, x, NAT)
+
+
+def test_check_trace_of_an_empty_trace_finds_nothing():
+    assert check_trace(Mode.CLASSIC, []) == []
 
 
 def test_check_trace_rejects_untyped_start():

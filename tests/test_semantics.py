@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import load_example
 from lh import eval_term, semantics
 from lh.harness import check_trace, gen_source
-from lh.metering import eval_metered
+from lh.metering import eval_metered, space_stats
 from lh.semantics import (
     IsBlame,
     IsValue,
@@ -243,12 +243,19 @@ _LAMBDA = parse("\\y:{x:Int|true}. y")
     ids=["coerce", "check-set", "unwrap", "unknown-op", "unknown-term", "overflow", "stack-on-lambda", "empty-label"],
 )
 def test_stuck_texts(mode, e, reason):
-    outs = [Machine(mode).eval(e, 100)]
-    if e is not NAT:  # the meter measures terms only
-        outs.append(eval_metered(mode, e, 100)[0])
-    for out in outs:
+    for out in (Machine(mode).eval(e, 100), eval_metered(mode, e, 100)[0]):
         assert (out.kind, out.stuck_reason, out.steps) == (OutcomeKind.STUCK, reason, 0)
     assert Machine(mode).step(e) == Stuck(reason)
+
+
+def test_space_stats_of_a_non_term_is_a_type_error():
+    with pytest.raises(TypeError, match="measures: not a term: Refinement"):
+        space_stats(NAT)
+
+
+def test_a_trace_step_prints_its_rule():
+    step = eval_term(Mode.CLASSIC, parse("1 + 2"), 10, trace=True).trace[0]
+    assert repr(step) == "TraceStep(rule='E-Op', term=Const(value=3))"
 
 
 def test_split_annotation():

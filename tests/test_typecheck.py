@@ -1,6 +1,7 @@
 import inspect
 import random
 import textwrap
+from functools import partial
 
 import pytest
 
@@ -8,7 +9,7 @@ from conftest import EXAMPLES, load_example
 from lh import eval_term, typecheck
 from lh.harness import check_trace, gen_source
 from lh.semantics import Machine, coerce
-from lh.surface import parse, parse_type
+from lh.surface import parse, parse_type, print_term, print_type
 from lh.syntax import (
     ALL_MODES,
     ActiveCheck,
@@ -165,6 +166,55 @@ def test_examples_type_in_all_modes():
         assert similar(ty, expected)
 
 
+def _source_verdict(judge, e):
+    try:
+        return "type", print_type(judge(e))
+    except TypeCheckError as exc:
+        return "error", str(exc)
+
+
+def test_check_source_types_once_as_each_mode_would():
+    # a source checker reads its mode only in a premise's replay, so one
+    # check gives every mode's type or error text, on generated programs
+    # and on mutants with one child replaced by 0, true, -3 or its first child
+    rng = random.Random(31)
+    terms = []
+    for seed in range(200):
+        e = gen_source(seed, 5 + seed % 16)
+        positions = _positions(e)
+        terms.append(e)
+        for new in (Const(0), Const(True), Const(-3)):
+            terms.append(_replaced(e, rng.choice(positions)[0], new))
+        path, kid = rng.choice([(path, kid) for path, kid in positions if children(kid)])
+        terms.append(_replaced(e, path, children(kid)[0]))
+    rejected = 0
+    for e in terms:
+        want = _source_verdict(check_source, e)
+        for mode in ALL_MODES:
+            assert _source_verdict(partial(Checker(mode, source=True).infer, {}), e) == want, (mode, print_term(e))
+        rejected += want[0] == "error"
+    assert 400 < rejected < 700  # both verdicts are compared, not only acceptance
+
+
+def test_a_source_premise_replays_under_classic():
+    # the runtime twin replays a premise in the checker's mode: this one's
+    # nested casts blame in classic, heedful and eidetic, and forgetful drops
+    # the inner cast and reaches true
+    e = parse(
+        "<{x:Int|true} => {x:Int| (\\y:{z:Int| (<{w:Int|w > 3} => {w:Int|true} @l>"
+        " (<{w:Int|true} => {w:Int|w > 3} @m> z)) > 0}. true) 1} @k> 5"
+    )
+    rejected = "error", "NotSimilar at /tgt/pred/arg: constant does not satisfy the refinement"
+    verdicts = {mode: _source_verdict(partial(Checker(mode, source=True).infer, {}), e) for mode in ALL_MODES}
+    assert verdicts == {
+        Mode.CLASSIC: rejected,
+        Mode.FORGETFUL: ("type", print_type(e.tgt)),
+        Mode.HEEDFUL: rejected,
+        Mode.EIDETIC: rejected,
+    }
+    assert _source_verdict(check_source, e) == rejected
+
+
 def test_runtime_active_check_typing(e3):
     from lh import eval_term
 
@@ -311,6 +361,18 @@ def test_budget_order_does_not_change_the_verdict():
 _STAND_INS = (Const(0), Const(-3), Const(True), Const(False), Blame("lz"))
 
 
+def _positions(term):
+    """(index path, node) of every node below term."""
+
+    positions, todo = [], [((), term)]
+    while todo:
+        path, node = todo.pop()
+        for i, kid in enumerate(children(node)):
+            positions.append((path + (i,), kid))
+            todo.append((path + (i,), kid))
+    return positions
+
+
 def _replaced(term, path, new):
     """term with the child at the index path replaced by new, the nodes above rebuilt."""
 
@@ -336,12 +398,7 @@ def _ill_formed_mutants():
     for term in programs:
         for mode in ALL_MODES:
             for now in eval_term(mode, term, 10_000, trace=True).trace_terms():
-                positions, todo = [], [((), now)]
-                while todo:
-                    path, node = todo.pop()
-                    for i, kid in enumerate(children(node)):
-                        positions.append((path + (i,), kid))
-                        todo.append((path + (i,), kid))
+                positions = _positions(now)
                 if positions:
                     path, kid = rng.choice(positions)
                     yield mode, _replaced(now, path, rng.choice(_STAND_INS + children(kid)[:1]))
